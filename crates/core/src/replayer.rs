@@ -18,6 +18,27 @@
 //! a longer, better-scoring candidate. Deferral is bounded by the longest
 //! candidate in the trie, so the pending queue cannot grow without bound.
 //!
+//! # Per-task cost
+//!
+//! A task costs one trie step per live cursor plus O(1) for the verdict,
+//! however many completed matches are waiting. Two invariants carry that:
+//!
+//! * **Cursors are strictly ascending by `start`.** Each task spawns at
+//!   most one cursor, appended last with the newest `start`; stepping,
+//!   replay and eviction only ever drop cursors in place. So `cursors[0]`
+//!   is the oldest, and it alone bounds the flushable prefix.
+//! * **The blocked verdict needs no scores.** The replayer tracks the
+//!   minimum `start` over the waiting matches. Whichever match scores
+//!   best starts at or after that minimum, so an oldest cursor at or
+//!   before it blocks the verdict *for every possible best* — the
+//!   deferred state is decided by one comparison.
+//!
+//! Only when the oldest cursor has moved past some waiting match is a
+//! best match actually chosen, and then `score()` — a `powf` — runs once
+//! per distinct candidate with a waiting match, not once per match.
+//! Debug builds recompute every verdict by full scans and assert the two
+//! agree.
+//!
 //! # Bounded memory
 //!
 //! With [`CapacityConfig`] limits set, the candidate store itself is
@@ -151,7 +172,7 @@ struct Cursor {
 }
 
 /// A fully recognized candidate occurrence awaiting a replay decision.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CompletedMatch {
     cand: CandidateId,
     start: u64,
@@ -163,26 +184,6 @@ struct CompletedMatch {
 struct PendingTask {
     desc: TaskDesc,
     global: u64,
-}
-
-/// Memoized image of the most recently replayed candidate's trie path,
-/// letting the mid-replay steady state advance its single cursor without
-/// hash-map stepping. Guarded by the trie epoch: any trie mutation
-/// invalidates it, and it is rebuilt (at most once per candidate per
-/// epoch) on the next replay. Never serialized — a restored replayer
-/// rebuilds it lazily.
-#[derive(Debug, Default)]
-struct ReplayMemo {
-    cand: Option<CandidateId>,
-    epoch: u64,
-    /// The candidate's token sequence.
-    seq: Vec<TaskHash>,
-    /// The trie node at each position (root excluded).
-    chain: Vec<NodeId>,
-    /// Whether the node at each position ends fast stepping: a terminal
-    /// (some candidate completes there — the generic path must record the
-    /// match) or a leaf (the cursor dies there).
-    stop: Vec<bool>,
 }
 
 /// Bytes charged per live trie node by the deterministic byte model
@@ -259,18 +260,20 @@ pub struct TraceReplayer {
     /// `Config::reference_pipeline`: route through the frozen per-task
     /// reference path instead of the fast paths.
     reference: bool, // snapshot: derived (from Config)
-    /// Bumped on every trie mutation (ingest); guards [`ReplayMemo`].
-    /// A restored replayer starts at epoch zero with a cold memo, which
-    /// only costs one generic step before the fast path re-engages.
-    trie_epoch: u64, // snapshot: derived
-    /// When `Some(i)`: exactly one cursor is live, sitting at
-    /// `memo.chain[i]` with no completed match outstanding — the
-    /// mid-replay steady state. Cleared by anything that perturbs cursors
-    /// outside the per-task step (ingest, flush).
-    fast_pos: Option<usize>, // snapshot: derived — re-established by the next step
-    memo: ReplayMemo, // snapshot: derived — rebuilt lazily per epoch
-    /// Double-buffer scratch swapped with `cursors` each generic step, so
-    /// the steady states never allocate a survivor vector.
+    /// Minimum `start` over `completed` (`u64::MAX` when empty): with
+    /// the cursor ordering invariant, all `decide` needs to prove a
+    /// verdict blocked and to bound the flushable prefix.
+    min_completed_start: u64, // snapshot: derived
+    /// Per-candidate score memo for [`Self::best_completed`], parallel to
+    /// `meta`: `(stamp, score)`, valid when the stamp equals
+    /// `score_stamp`. Sized with `meta`, so scoring never allocates.
+    scratch_scores: Vec<(u64, f64)>, // snapshot: derived
+    score_stamp: u64, // snapshot: derived
+    /// Test oracle: route `decide` through the parent's full scans.
+    #[cfg(test)]
+    naive_decide: bool, // snapshot: derived
+    /// Double-buffer scratch swapped with `cursors` each step, so the
+    /// steady states never allocate a survivor vector.
     scratch_cursors: Vec<Cursor>, // snapshot: derived
     /// Reusable run buffer behind [`Self::on_batch`]'s contiguous
     /// untraced forwarding.
@@ -301,9 +304,11 @@ impl TraceReplayer {
             now: 0,
             stats: ReplayerStats::default(),
             reference: config.reference_pipeline,
-            trie_epoch: 0,
-            fast_pos: None,
-            memo: ReplayMemo::default(),
+            min_completed_start: u64::MAX,
+            scratch_scores: Vec::new(),
+            score_stamp: 0,
+            #[cfg(test)]
+            naive_decide: false,
             scratch_cursors: Vec::new(),
             run_buf: Vec::new(),
             scratch_pending: HashSet::new(),
@@ -317,11 +322,6 @@ impl TraceReplayer {
     /// `max_trace_length` tokens (Figure 8) and registers each piece, then
     /// enforces the [`CapacityConfig`] bounds by score-based eviction.
     pub fn ingest(&mut self, batch: &MinedBatch) {
-        // The trie is about to change shape (and capacity enforcement may
-        // remap cursors): invalidate the replay memo and disengage the
-        // fast path until the generic step re-establishes it.
-        self.trie_epoch += 1;
-        self.fast_pos = None;
         for cand in &batch.candidates {
             let mut offset = 0usize;
             while offset < cand.content.len() {
@@ -333,6 +333,7 @@ impl TraceReplayer {
                     let idx = id.0 as usize;
                     if self.meta.len() <= idx {
                         self.meta.resize_with(idx + 1, CandidateMeta::default);
+                        self.scratch_scores.resize(idx + 1, (0, 0.0));
                     }
                     let m = &mut self.meta[idx];
                     m.len = piece.len();
@@ -372,15 +373,20 @@ impl TraceReplayer {
     /// agree on it and evict identically, and a snapshot restores to the
     /// same figure.
     pub fn trie_bytes(&self) -> usize {
-        self.trie.node_count() * TRIE_NODE_FOOTPRINT
-            + self.meta.iter().map(|m| m.len * std::mem::size_of::<TaskHash>()).sum::<usize>()
+        self.trie.node_count() * TRIE_NODE_FOOTPRINT + self.content_bytes()
+    }
+
+    /// Bytes of stored candidate content. The trie keeps the token total
+    /// running, so capacity enforcement can ask once per eviction without
+    /// re-summing the candidate table.
+    fn content_bytes(&self) -> usize {
+        self.trie.content_tokens() * std::mem::size_of::<TaskHash>()
     }
 
     /// Like [`Self::trie_bytes`] but charging *allocated* node slots
     /// (live + free-listed) — the figure compaction exists to shrink.
     fn trie_allocated_bytes(&self) -> usize {
-        self.trie.allocated_node_count() * TRIE_NODE_FOOTPRINT
-            + self.meta.iter().map(|m| m.len * std::mem::size_of::<TaskHash>()).sum::<usize>()
+        self.trie.allocated_node_count() * TRIE_NODE_FOOTPRINT + self.content_bytes()
     }
 
     /// Whether the trie currently exceeds a configured bound.
@@ -506,8 +512,10 @@ impl TraceReplayer {
         let slots = self.trie.truncate_candidates();
         if slots < self.meta.len() {
             self.meta.truncate(slots);
+            self.scratch_scores.truncate(slots);
             if compacted {
                 self.meta.shrink_to_fit();
+                self.scratch_scores.shrink_to_fit();
             }
         }
     }
@@ -545,7 +553,7 @@ impl TraceReplayer {
             self.stats.forwarded_untraced += 1;
             return sink.execute_task(desc);
         }
-        self.on_task_hot(desc, hash, sink)
+        self.step(desc, hash, sink)
     }
 
     /// Feeds a batch of tasks, forwarding maximal untraceable runs to the
@@ -610,7 +618,7 @@ impl TraceReplayer {
             if !run.is_empty() {
                 sink.execute_batch(run)?;
             }
-            self.on_task_hot(desc, hash, sink)?;
+            self.step(desc, hash, sink)?;
         }
         if !run.is_empty() {
             sink.execute_batch(run)?;
@@ -618,49 +626,10 @@ impl TraceReplayer {
         Ok(())
     }
 
-    /// The non-reference per-task path: try the memoized mid-replay fast
-    /// lane, fall back to the generic cursor step.
-    fn on_task_hot<S: TraceSink>(
-        &mut self,
-        desc: TaskDesc,
-        hash: TaskHash,
-        sink: &mut S,
-    ) -> Result<(), S::Error> {
-        // Mid-replay steady state: exactly one cursor walking the
-        // memoized candidate chain (the `fast_pos` invariant, established
-        // by `try_engage_fast` and torn down by ingest/flush before the
-        // trie or cursors can change shape). If the next token continues
-        // the chain without completing it, and no other candidate could
-        // spawn a root cursor here, the generic step reduces to: buffer
-        // the task and advance the lone cursor. `decide` is provably a
-        // no-op (nothing completed, no cursor died, the minimum cursor
-        // start is unchanged), so it is skipped entirely.
-        if let Some(i) = self.fast_pos {
-            let next = i + 1;
-            if next < self.memo.seq.len()
-                && hash == self.memo.seq[next]
-                && !self.memo.stop[next]
-                && !self.trie.can_start_with(hash)
-            {
-                let global = self.now;
-                self.now += 1;
-                self.pending.push_back(PendingTask { desc, global });
-                self.stats.peak_pending_tasks =
-                    self.stats.peak_pending_tasks.max(self.pending.len());
-                self.cursors[0].node = self.memo.chain[next];
-                self.fast_pos = Some(next);
-                return Ok(());
-            }
-            // Disengage before the generic step mutates cursor state.
-            self.fast_pos = None;
-        }
-        self.step_generic(desc, hash, sink)
-    }
-
-    /// The generic cursor step, restructured around reusable scratch
-    /// buffers: no allocation once the cursor vectors reach their
-    /// steady-state capacity.
-    fn step_generic<S: TraceSink>(
+    /// The cursor step, built around reusable scratch buffers: no
+    /// allocation once the cursor vectors reach their steady-state
+    /// capacity.
+    fn step<S: TraceSink>(
         &mut self,
         desc: TaskDesc,
         hash: TaskHash,
@@ -693,6 +662,7 @@ impl TraceReplayer {
             if let Some(next) = self.trie.step(cur.node, hash) {
                 if let Some(cand) = self.trie.terminal(next) {
                     self.completed.push(CompletedMatch { cand, start: cur.start, end: global + 1 });
+                    self.min_completed_start = self.min_completed_start.min(cur.start);
                     let m = &mut self.meta[cand.0 as usize];
                     m.count = m.count.saturating_add(1);
                     m.last_seen = global + 1;
@@ -718,7 +688,6 @@ impl TraceReplayer {
         if !self.completed.is_empty() || kept != pre_existing {
             self.decide(sink)?;
         }
-        self.try_engage_fast();
         Ok(())
     }
 
@@ -754,6 +723,7 @@ impl TraceReplayer {
                         start: cur.start,
                         end: global + 1,
                     });
+                    self.min_completed_start = self.min_completed_start.min(cur.start);
                     let m = &mut self.meta[cand.0 as usize];
                     m.count = m.count.saturating_add(1);
                     m.last_seen = global + 1;
@@ -778,17 +748,14 @@ impl TraceReplayer {
     /// Propagates the first sink error.
     pub fn flush<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
         self.drain_retired(sink)?;
-        self.fast_pos = None;
         // No more tokens will arrive: live cursors can never finish.
         self.cursors.clear();
         while let Some(best) = self.best_completed() {
             self.replay(best, sink)?;
         }
-        while let Some(p) = self.pending.pop_front() {
-            self.stats.forwarded_untraced += 1;
-            sink.execute_task(p.desc)?;
-        }
+        self.forward_untraced_before(u64::MAX, sink)?;
         self.completed.clear();
+        self.min_completed_start = u64::MAX;
         Ok(())
     }
 
@@ -911,8 +878,9 @@ impl TraceReplayer {
     /// # Errors
     ///
     /// [`SnapshotError`] on truncated or structurally impossible input
-    /// (broken trie invariants, out-of-range cursors, dead completed
-    /// matches).
+    /// (broken trie invariants, a candidate table out of step with the
+    /// trie, out-of-range, out-of-window or misordered cursors, dead
+    /// completed matches).
     pub fn restore_snapshot(
         config: &Config,
         r: &mut SnapshotReader<'_>,
@@ -945,6 +913,15 @@ impl TraceReplayer {
                 len: r.get_len()?,
             })
         })?;
+        // `meta` mirrors the trie's candidate slots (scores and the byte
+        // model read lengths from either side interchangeably).
+        let mirrored = replayer.meta.len() == replayer.trie.candidate_slots()
+            && (replayer.meta.iter().zip(0u32..))
+                .all(|(m, i)| m.len == replayer.trie.candidate_len(CandidateId(i)));
+        if !mirrored {
+            return Err(SnapshotError::Corrupt("candidate table disagrees with the trie".into()));
+        }
+        replayer.scratch_scores = vec![(0, 0.0); replayer.meta.len()];
         replayer.cursors = r.get_seq(|r| {
             let node = r.get_len()?;
             if node >= node_bound {
@@ -994,6 +971,19 @@ impl TraceReplayer {
                 ));
             }
         }
+        // `decide` reads the oldest cursor off `cursors[0]` and flushes the
+        // prefix before it: an image with cursors out of order (or starting
+        // outside the buffered window) would replay or flush wrongly
+        // without ever tripping a bounds check.
+        let ascending = replayer.cursors.windows(2).all(|w| w[0].start < w[1].start);
+        let inside =
+            replayer.cursors.iter().all(|c| window_lo <= c.start && c.start < replayer.now);
+        if !ascending || !inside {
+            return Err(SnapshotError::Corrupt(
+                "cursors not ascending inside the pending buffer".into(),
+            ));
+        }
+        replayer.min_completed_start = replayer.min_start_by_scan();
         replayer.stats = ReplayerStats {
             forwarded_untraced: r.get_u64()?,
             forwarded_traced: r.get_u64()?,
@@ -1025,49 +1015,129 @@ impl TraceReplayer {
 
     /// Drives flush/replay decisions after each arrival.
     fn decide<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
-        loop {
-            // Choose the best completed match, then check whether an
-            // active cursor justifies deferring it (the paper's
-            // `SelectReplayTrace(D, P, A)` consults the active pointers A):
-            //
-            // * a cursor whose match would start at or before the best
-            //   match may complete an overlapping, better candidate;
-            // * a cursor that started inside the best match and can still
-            //   grow into something *longer* would be killed by replaying
-            //   now — e.g. a short phase-shifted candidate must not
-            //   permanently lock out the long multi-iteration trace whose
-            //   occurrences straddle it.
-            //
-            // Deferral is abandoned once the pending queue exceeds twice
-            // the longest candidate, bounding buffering even on streams
-            // that keep cursors alive indefinitely.
-            let best = self.best_completed();
-            let best = match best {
-                Some(b) => b,
-                None => break,
-            };
-            let patience = 2 * self.trie.max_candidate_len();
-            let best_len = (best.end - best.start) as usize;
-            let blocked = self.cursors.iter().any(|c| {
-                c.start <= best.start
-                    || (c.start < best.end
-                        && self.trie.potential_len(c.node) > best_len
-                        && self.pending.len() < patience)
-            });
+        #[cfg(test)]
+        if self.naive_decide {
+            return self.decide_by_full_scan(sink);
+        }
+        debug_assert!(self.cursors.windows(2).all(|w| w[0].start < w[1].start));
+        debug_assert_eq!(self.min_completed_start, self.min_start_by_scan());
+        while !self.completed.is_empty() {
+            let oracle = if cfg!(debug_assertions) { self.verdict_by_full_scan() } else { None };
+            // The oldest cursor starts at or before every waiting match,
+            // so it blocks whichever of them is best: no scoring needed.
+            if self.cursors.first().is_some_and(|c| c.start <= self.min_completed_start) {
+                debug_assert!(oracle.is_some_and(|(_, blocked)| blocked));
+                break;
+            }
+            let Some(best) = self.best_completed() else { break };
+            let blocked = self.blocks(best);
+            debug_assert_eq!(oracle, Some((best, blocked)));
             if blocked {
                 break;
             }
             self.replay(best, sink)?;
         }
         // Flush the prefix no potential match can cover any more.
-        let keep_from = self
-            .cursors
-            .iter()
-            .map(|c| c.start)
-            .chain(self.completed.iter().map(|c| c.start))
-            .min()
-            .unwrap_or(self.now);
-        while self.pending.front().is_some_and(|p| p.global < keep_from) {
+        let keep_from =
+            self.cursors.first().map_or(self.now, |c| c.start).min(self.min_completed_start);
+        debug_assert_eq!(keep_from, self.keep_from_by_scan());
+        self.forward_untraced_before(keep_from, sink)
+    }
+
+    /// Whether a live cursor justifies deferring `best` (the paper's
+    /// `SelectReplayTrace(D, P, A)` consults the active pointers A):
+    ///
+    /// * a cursor whose match would start at or before the best match may
+    ///   complete an overlapping, better candidate;
+    /// * a cursor that started inside the best match and can still grow
+    ///   into something *longer* would be killed by replaying now — e.g. a
+    ///   short phase-shifted candidate must not permanently lock out the
+    ///   long multi-iteration trace whose occurrences straddle it.
+    ///
+    /// Deferral is abandoned once the pending queue exceeds twice the
+    /// longest candidate, bounding buffering even on streams that keep
+    /// cursors alive indefinitely.
+    fn blocks(&self, best: CompletedMatch) -> bool {
+        let patient = self.pending.len() < 2 * self.trie.max_candidate_len();
+        let best_len = (best.end - best.start) as usize;
+        // Ascending starts: cursors from `best.end` on cannot block.
+        self.cursors.iter().take_while(|c| c.start < best.end).any(|c| {
+            c.start <= best.start || (patient && self.trie.potential_len(c.node) > best_len)
+        })
+    }
+
+    /// §4.3 preference among waiting matches: higher score, then longer,
+    /// then earlier start.
+    fn rank(a: (f64, CompletedMatch), b: (f64, CompletedMatch)) -> std::cmp::Ordering {
+        (a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
+            .then_with(|| (a.1.end - a.1.start).cmp(&(b.1.end - b.1.start)))
+            .then_with(|| b.1.start.cmp(&a.1.start))
+    }
+
+    /// Highest-ranking completed match. Matches of one candidate share
+    /// its score, so `score()` runs once per distinct candidate.
+    fn best_completed(&mut self) -> Option<CompletedMatch> {
+        self.score_stamp += 1;
+        let mut scores = std::mem::take(&mut self.scratch_scores);
+        let best = (self.completed.iter())
+            .map(|&m| {
+                let slot = &mut scores[m.cand.0 as usize];
+                if slot.0 != self.score_stamp {
+                    #[cfg(test)]
+                    tests::SCORE_EVALS.with(|n| n.set(n.get() + 1));
+                    *slot = (self.score_stamp, self.score(m.cand, self.now));
+                }
+                (slot.1, m)
+            })
+            .max_by(|&a, &b| Self::rank(a, b));
+        self.scratch_scores = scores;
+        best.map(|(_, m)| m)
+    }
+
+    /// The verdict as the pre-shortcut replayer reached it — every
+    /// waiting match scored, every cursor consulted — kept as the oracle
+    /// debug builds (and the test-only naive `decide`) check the O(1)
+    /// verdict against. Returns the best match and whether it is blocked.
+    fn verdict_by_full_scan(&self) -> Option<(CompletedMatch, bool)> {
+        let scored = self.completed.iter().map(|&m| (self.score(m.cand, self.now), m));
+        let (_, best) = scored.max_by(|&a, &b| Self::rank(a, b))?;
+        let patience = 2 * self.trie.max_candidate_len();
+        let best_len = (best.end - best.start) as usize;
+        let blocked = self.cursors.iter().any(|c| {
+            c.start <= best.start
+                || (c.start < best.end
+                    && self.trie.potential_len(c.node) > best_len
+                    && self.pending.len() < patience)
+        });
+        Some((best, blocked))
+    }
+
+    fn min_start_by_scan(&self) -> u64 {
+        self.completed.iter().map(|c| c.start).min().unwrap_or(u64::MAX)
+    }
+
+    fn keep_from_by_scan(&self) -> u64 {
+        let starts = self.cursors.iter().map(|c| c.start);
+        starts.chain(self.completed.iter().map(|c| c.start)).min().unwrap_or(self.now)
+    }
+
+    /// `decide` by full scans only: the oracle the shortcut proptests pin
+    /// events, stats and digests against.
+    #[cfg(test)]
+    fn decide_by_full_scan<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
+        while let Some((best, false)) = self.verdict_by_full_scan() {
+            self.replay(best, sink)?;
+        }
+        self.forward_untraced_before(self.keep_from_by_scan(), sink)
+    }
+
+    /// Forwards buffered tasks with a global index below `bound` untraced.
+    fn forward_untraced_before<S: TraceSink>(
+        &mut self,
+        bound: u64,
+        sink: &mut S,
+    ) -> Result<(), S::Error> {
+        while self.pending.front().is_some_and(|p| p.global < bound) {
             let Some(p) = self.pending.pop_front() else { break };
             self.stats.forwarded_untraced += 1;
             sink.execute_task(p.desc)?;
@@ -1075,26 +1145,10 @@ impl TraceReplayer {
         Ok(())
     }
 
-    /// Highest-scoring completed match (ties: longer, then earlier start).
-    fn best_completed(&self) -> Option<CompletedMatch> {
-        self.completed.iter().copied().max_by(|a, b| {
-            let (sa, sb) = (self.score(a.cand, self.now), self.score(b.cand, self.now));
-            sa.partial_cmp(&sb)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| (a.end - a.start).cmp(&(b.end - b.start)))
-                .then_with(|| b.start.cmp(&a.start))
-        })
-    }
-
     /// Flushes the prefix before `m`, forwards `m` inside a trace, and
     /// drops state overlapping it.
     fn replay<S: TraceSink>(&mut self, m: CompletedMatch, sink: &mut S) -> Result<(), S::Error> {
-        // Forward the untraced prefix.
-        while self.pending.front().is_some_and(|p| p.global < m.start) {
-            let Some(p) = self.pending.pop_front() else { break };
-            self.stats.forwarded_untraced += 1;
-            sink.execute_task(p.desc)?;
-        }
+        self.forward_untraced_before(m.start, sink)?;
         debug_assert_eq!(
             self.pending.front().map(|p| p.global),
             Some(m.start),
@@ -1130,684 +1184,10 @@ impl TraceReplayer {
         // Drop cursors and matches overlapping the consumed interval.
         self.cursors.retain(|c| c.start >= m.end);
         self.completed.retain(|c| c.start >= m.end);
-        // A candidate that just replayed is the one most likely to walk
-        // the stream again immediately: memoize its chain so the next
-        // occurrence can take the fast lane.
-        self.memoize(m.cand);
+        self.min_completed_start = self.min_start_by_scan();
         Ok(())
-    }
-
-    /// Caches candidate `cand`'s token sequence, node chain, and per-node
-    /// stop flags for the mid-replay fast path. Idempotent per trie epoch:
-    /// the steady-state call (same candidate, unchanged trie) returns
-    /// without touching the heap.
-    fn memoize(&mut self, cand: CandidateId) {
-        if self.memo.cand == Some(cand) && self.memo.epoch == self.trie_epoch {
-            return;
-        }
-        self.memo.cand = None;
-        self.memo.seq.clear();
-        self.memo.chain.clear();
-        self.memo.stop.clear();
-        let Some(chain) = self.trie.path_nodes(cand) else {
-            return;
-        };
-        self.memo.seq.extend_from_slice(self.trie.candidate(cand));
-        for &node in &chain {
-            self.memo.stop.push(self.trie.terminal(node).is_some() || self.trie.is_leaf(node));
-        }
-        self.memo.chain = chain;
-        self.memo.cand = Some(cand);
-        self.memo.epoch = self.trie_epoch;
-    }
-
-    /// Engages the mid-replay fast path when its invariant holds: no
-    /// pending verdicts, exactly one live cursor, and that cursor sits on
-    /// the first node of the (current-epoch) memoized chain.
-    fn try_engage_fast(&mut self) {
-        self.fast_pos = None;
-        if self.completed.is_empty()
-            && self.cursors.len() == 1
-            && self.memo.cand.is_some()
-            && self.memo.epoch == self.trie_epoch
-            && !self.memo.chain.is_empty()
-            && self.cursors[0].node == self.memo.chain[0]
-        {
-            self.fast_pos = Some(0);
-        }
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::finder::MinedCandidate;
-    use std::convert::Infallible;
-
-    /// Records the forwarded event stream.
-    #[derive(Debug, Default)]
-    struct EventSink {
-        events: Vec<Event>,
-    }
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum Event {
-        Begin(TraceId),
-        End(TraceId),
-        Task(TaskHash),
-        Forget(TraceId),
-    }
-
-    impl TraceSink for EventSink {
-        type Error = Infallible;
-
-        fn begin_trace(&mut self, id: TraceId) -> Result<(), Infallible> {
-            self.events.push(Event::Begin(id));
-            Ok(())
-        }
-
-        fn end_trace(&mut self, id: TraceId) -> Result<(), Infallible> {
-            self.events.push(Event::End(id));
-            Ok(())
-        }
-
-        fn execute_task(&mut self, task: TaskDesc) -> Result<(), Infallible> {
-            self.events.push(Event::Task(task.semantic_hash()));
-            Ok(())
-        }
-
-        fn forget_trace(&mut self, id: TraceId) -> Result<(), Infallible> {
-            self.events.push(Event::Forget(id));
-            Ok(())
-        }
-    }
-
-    fn task(k: u32) -> TaskDesc {
-        TaskDesc::new(tasksim::ids::TaskKindId(k))
-    }
-
-    fn hash(k: u32) -> TaskHash {
-        task(k).semantic_hash()
-    }
-
-    fn cfg(min: usize) -> Config {
-        Config::standard().with_min_trace_length(min)
-    }
-
-    fn batch_of(contents: &[&[u32]]) -> MinedBatch {
-        MinedBatch {
-            job: 0,
-            candidates: contents
-                .iter()
-                .map(|c| MinedCandidate {
-                    content: c.iter().map(|&k| hash(k)).collect(),
-                    occurrences: vec![0],
-                })
-                .collect(),
-            slice_end: 0,
-        }
-    }
-
-    fn feed(r: &mut TraceReplayer, sink: &mut EventSink, kinds: &[u32]) {
-        for &k in kinds {
-            r.on_task(task(k), hash(k), sink).unwrap();
-        }
-    }
-
-    #[test]
-    fn no_candidates_passthrough_immediately() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        let mut s = EventSink::default();
-        feed(&mut r, &mut s, &[1, 2, 3]);
-        assert_eq!(r.pending_len(), 0, "nothing buffers without candidates");
-        assert_eq!(s.events.len(), 3);
-        assert!(s.events.iter().all(|e| matches!(e, Event::Task(_))));
-    }
-
-    #[test]
-    fn match_is_bracketed_in_trace() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&batch_of(&[&[1, 2, 3]]));
-        let mut s = EventSink::default();
-        feed(&mut r, &mut s, &[9, 1, 2, 3, 8]);
-        r.flush(&mut s).unwrap();
-        let expect = vec![
-            Event::Task(hash(9)),
-            Event::Begin(TraceId(0)),
-            Event::Task(hash(1)),
-            Event::Task(hash(2)),
-            Event::Task(hash(3)),
-            Event::End(TraceId(0)),
-            Event::Task(hash(8)),
-        ];
-        assert_eq!(s.events, expect);
-        assert_eq!(r.stats().traces_issued, 1);
-        assert_eq!(r.stats().forwarded_untraced, 2);
-        assert_eq!(r.stats().forwarded_traced, 3);
-    }
-
-    #[test]
-    fn repeated_matches_reuse_trace_id() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&batch_of(&[&[1, 2]]));
-        let mut s = EventSink::default();
-        feed(&mut r, &mut s, &[1, 2, 1, 2, 1, 2]);
-        r.flush(&mut s).unwrap();
-        let begins: Vec<&Event> =
-            s.events.iter().filter(|e| matches!(e, Event::Begin(_))).collect();
-        assert_eq!(begins.len(), 3);
-        assert!(begins.iter().all(|e| **e == Event::Begin(TraceId(0))));
-    }
-
-    #[test]
-    fn order_is_always_preserved() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&batch_of(&[&[1, 2], &[3, 4, 5]]));
-        let mut s = EventSink::default();
-        let stream = [7, 1, 2, 3, 4, 5, 6, 1, 2, 9];
-        feed(&mut r, &mut s, &stream);
-        r.flush(&mut s).unwrap();
-        let tasks: Vec<TaskHash> = s
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Task(h) => Some(*h),
-                _ => None,
-            })
-            .collect();
-        let expect: Vec<TaskHash> = stream.iter().map(|&k| hash(k)).collect();
-        assert_eq!(tasks, expect, "forwarding preserves program order");
-    }
-
-    #[test]
-    fn longer_overlapping_candidate_wins() {
-        // Trie has both [1,2] and [1,2,3,4]; stream contains the long one.
-        // The replayer must defer the short match and replay the long one.
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&batch_of(&[&[1, 2], &[1, 2, 3, 4]]));
-        let mut s = EventSink::default();
-        feed(&mut r, &mut s, &[1, 2, 3, 4, 9]);
-        r.flush(&mut s).unwrap();
-        let traced: Vec<&Event> = s
-            .events
-            .iter()
-            .skip_while(|e| !matches!(e, Event::Begin(_)))
-            .take_while(|e| !matches!(e, Event::End(_)))
-            .collect();
-        assert_eq!(traced.len(), 5, "4 tasks + begin inside the trace: {:?}", s.events);
-    }
-
-    #[test]
-    fn short_candidate_replays_when_long_dies() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&batch_of(&[&[1, 2], &[1, 2, 3, 4]]));
-        let mut s = EventSink::default();
-        // 1 2 3 9: long candidate dies at 9; short [1,2] must then replay.
-        feed(&mut r, &mut s, &[1, 2, 3, 9]);
-        r.flush(&mut s).unwrap();
-        assert!(
-            s.events.contains(&Event::Begin(TraceId(0))),
-            "short candidate replayed: {:?}",
-            s.events
-        );
-        // 3 and 9 flushed untraced after the trace.
-        assert_eq!(r.stats().forwarded_untraced, 2);
-    }
-
-    #[test]
-    fn max_trace_length_splits_candidates() {
-        let mut r = TraceReplayer::new(&cfg(2).with_max_trace_length(3));
-        let long: Vec<u32> = (1..=9).collect();
-        let long_ref: Vec<&[u32]> = vec![&long];
-        r.ingest(&batch_of(&long_ref));
-        assert_eq!(r.stats().candidates, 3, "9-token candidate → three 3-token pieces");
-        let mut s = EventSink::default();
-        feed(&mut r, &mut s, &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        r.flush(&mut s).unwrap();
-        let begins = s.events.iter().filter(|e| matches!(e, Event::Begin(_))).count();
-        assert_eq!(begins, 3, "three piece replays: {:?}", s.events);
-    }
-
-    #[test]
-    fn min_len_drops_short_pieces() {
-        // 7-token candidate, max piece 3, min 3 → pieces 3+3, tail 1 dropped.
-        let mut r = TraceReplayer::new(&cfg(3).with_max_trace_length(3));
-        let c: Vec<u32> = (1..=7).collect();
-        let c_ref: Vec<&[u32]> = vec![&c];
-        r.ingest(&batch_of(&c_ref));
-        assert_eq!(r.stats().candidates, 2);
-    }
-
-    #[test]
-    fn score_decays_with_staleness() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&MinedBatch {
-            job: 0,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(1), hash(2)],
-                occurrences: vec![0, 2, 4],
-            }],
-            slice_end: 6,
-        });
-        let id = CandidateId(0);
-        let fresh = r.score(id, 6);
-        let stale = r.score(id, 6 + 100_000);
-        assert!(fresh > 0.0);
-        assert!(stale < fresh * 0.01, "stale score {stale} vs fresh {fresh}");
-    }
-
-    #[test]
-    fn score_caps_count() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&MinedBatch {
-            job: 0,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(1), hash(2)],
-                occurrences: (0..100).map(|i| i * 2).collect(),
-            }],
-            slice_end: 200,
-        });
-        let score = r.score(CandidateId(0), 200);
-        // len 2 × cap 16 = 32 maximum (no decay at last_seen).
-        assert!(score <= 32.0 + 1e-9, "score {score}");
-    }
-
-    #[test]
-    fn replay_bonus_prefers_replayed() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&batch_of(&[&[1, 2]]));
-        let mut s = EventSink::default();
-        let before = r.score(CandidateId(0), 0);
-        feed(&mut r, &mut s, &[1, 2]);
-        r.flush(&mut s).unwrap();
-        // After one replay, with equal count/staleness the score carries
-        // the bonus. Compare against a manually computed unbonused score.
-        let after = r.score(CandidateId(0), r.now);
-        assert!(after > before, "replayed candidate scores higher: {after} vs {before}");
-    }
-
-    #[test]
-    fn reingest_accumulates_count_without_duplicating() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&MinedBatch {
-            job: 0,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(1), hash(2)],
-                occurrences: vec![0, 4],
-            }],
-            slice_end: 8,
-        });
-        let id = CandidateId(0);
-        assert_eq!(r.stats().candidates, 1);
-        let first = r.score(id, 8);
-        // A later analysis re-mines the same candidate: same id, counts
-        // and recency accumulate, nothing duplicates.
-        r.ingest(&MinedBatch {
-            job: 1,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(1), hash(2)],
-                occurrences: vec![8, 12, 16],
-            }],
-            slice_end: 20,
-        });
-        assert_eq!(r.stats().candidates, 1, "re-ingest never duplicates");
-        let second = r.score(id, 20);
-        // count 2 → 5 at zero staleness: score strictly grows.
-        assert!(second > first, "count accumulated: {second} vs {first}");
-        // len stays that of the piece (guards against len clobbering).
-        let at_cap = r.score(id, 20);
-        assert!(at_cap <= 2.0 * 16.0 + 1e-9, "len still 2: {at_cap}");
-    }
-
-    #[test]
-    fn eviction_drops_lowest_scoring_candidate() {
-        let mut r = TraceReplayer::new(&cfg(2).with_max_candidates(2));
-        // Three candidates, utility ordered by occurrence count.
-        r.ingest(&MinedBatch {
-            job: 0,
-            candidates: vec![
-                MinedCandidate { content: vec![hash(1), hash(2)], occurrences: vec![0, 2, 4] },
-                MinedCandidate { content: vec![hash(3), hash(4)], occurrences: vec![6, 8] },
-                MinedCandidate { content: vec![hash(5), hash(6)], occurrences: vec![10] },
-            ],
-            slice_end: 12,
-        });
-        let s = r.stats();
-        assert_eq!(s.candidates, 2, "cap enforced");
-        assert_eq!(s.evicted_candidates, 1);
-        assert_eq!(s.peak_candidates, 2, "live-set peak respects the cap");
-        assert!(!r.candidate_live(CandidateId(2)), "lowest-count candidate evicted");
-        assert!(r.candidate_live(CandidateId(0)));
-        assert!(r.candidate_live(CandidateId(1)));
-        // Survivors still replay; the evicted sequence passes through.
-        let mut sink = EventSink::default();
-        feed(&mut r, &mut sink, &[5, 6, 1, 2]);
-        r.flush(&mut sink).unwrap();
-        assert_eq!(r.stats().traces_issued, 1, "only the survivor traced");
-    }
-
-    #[test]
-    fn eviction_reuses_candidate_slots_cleanly() {
-        let mut r = TraceReplayer::new(&cfg(2).with_max_candidates(1));
-        r.ingest(&batch_of(&[&[1, 2]]));
-        r.ingest(&MinedBatch {
-            job: 1,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(3), hash(4)],
-                occurrences: vec![4, 6, 8],
-            }],
-            slice_end: 10,
-        });
-        // [1,2] (count 1, stale) evicted; [3,4] reuses its slot with
-        // fresh bookkeeping.
-        assert_eq!(r.stats().candidates, 1);
-        assert_eq!(r.stats().evicted_candidates, 1);
-        let mut sink = EventSink::default();
-        feed(&mut r, &mut sink, &[1, 2, 3, 4]);
-        r.flush(&mut sink).unwrap();
-        assert_eq!(r.stats().traces_issued, 1, "recycled slot replays as the new candidate");
-        let tasks: Vec<TaskHash> = sink
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Task(h) => Some(*h),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(tasks, vec![hash(1), hash(2), hash(3), hash(4)], "order preserved");
-    }
-
-    #[test]
-    fn eviction_forgets_orphaned_templates() {
-        let mut r = TraceReplayer::new(&cfg(2).with_max_candidates(1));
-        let mut s = EventSink::default();
-        r.ingest(&batch_of(&[&[1, 2]]));
-        // Replay once so the candidate carries TraceId(0) and the sink
-        // holds a template for it.
-        feed(&mut r, &mut s, &[1, 2]);
-        assert_eq!(r.stats().traces_issued, 1);
-        // A fresher candidate evicts it; the next forwarding opportunity
-        // must tell the sink to drop the now-unreachable template.
-        r.ingest(&MinedBatch {
-            job: 1,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(3), hash(4)],
-                occurrences: vec![4, 6, 8],
-            }],
-            slice_end: 10,
-        });
-        feed(&mut r, &mut s, &[9]);
-        assert!(
-            s.events.contains(&Event::Forget(TraceId(0))),
-            "orphaned template forgotten: {:?}",
-            s.events
-        );
-        // Never-replayed evicted candidates (no trace id) emit nothing.
-        let forgets = s.events.iter().filter(|e| matches!(e, Event::Forget(_))).count();
-        assert_eq!(forgets, 1);
-    }
-
-    #[test]
-    fn eviction_truncates_meta_tail() {
-        let mut r = TraceReplayer::new(&cfg(2).with_max_candidates(1));
-        // A hot candidate first, then a cold one: the cold (tail) slot is
-        // evicted and the id space + meta table shrink back.
-        r.ingest(&MinedBatch {
-            job: 0,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(1), hash(2)],
-                occurrences: vec![0, 2, 4, 6],
-            }],
-            slice_end: 8,
-        });
-        r.ingest(&MinedBatch {
-            job: 1,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(3), hash(4)],
-                occurrences: vec![0],
-            }],
-            slice_end: 8,
-        });
-        let s = r.stats();
-        assert_eq!(s.candidates, 1);
-        assert!(r.candidate_live(CandidateId(0)), "high-score candidate survives");
-        assert_eq!(s.peak_meta_capacity, 2, "both slots were allocated");
-        assert_eq!(s.meta_capacity, 1, "tombstoned tail slot truncated: {s:?}");
-    }
-
-    #[test]
-    fn eviction_defers_candidates_with_live_cursors() {
-        let mut r = TraceReplayer::new(&cfg(2).with_max_candidates(1));
-        r.ingest(&batch_of(&[&[7, 8]]));
-        let mut sink = EventSink::default();
-        // Start a partial match of [7,8]: a live cursor sits on its path.
-        feed(&mut r, &mut sink, &[7]);
-        // A fresher, higher-scoring candidate arrives; the cap says evict,
-        // but [7,8]'s cursor defers its eviction.
-        r.ingest(&MinedBatch {
-            job: 1,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(5), hash(6)],
-                occurrences: vec![10, 12, 14],
-            }],
-            slice_end: 16,
-        });
-        assert!(r.candidate_live(CandidateId(0)), "cursor-protected candidate survives");
-        // The in-progress match completes and replays.
-        feed(&mut r, &mut sink, &[8]);
-        r.flush(&mut sink).unwrap();
-        assert_eq!(r.stats().traces_issued, 1, "deferred candidate completed its match");
-    }
-
-    #[test]
-    fn trie_node_cap_bounds_memory_and_compacts() {
-        let mut r = TraceReplayer::new(&cfg(2).with_max_trie_nodes(16));
-        // Waves of disjoint candidates; each wave's staleness makes the
-        // previous wave evictable.
-        for wave in 0..20u32 {
-            let base = wave * 100;
-            let content: Vec<TaskHash> = (base..base + 8).map(hash).collect();
-            r.ingest(&MinedBatch {
-                job: u64::from(wave),
-                candidates: vec![MinedCandidate {
-                    content,
-                    occurrences: vec![u64::from(wave) * 100, u64::from(wave) * 100 + 8],
-                }],
-                slice_end: u64::from(wave + 1) * 100,
-            });
-            assert!(r.trie_node_count() <= 17, "live nodes capped: {}", r.trie_node_count());
-        }
-        let s = r.stats();
-        assert!(s.evicted_candidates > 0);
-        assert!(s.trie_compactions > 0, "free list released: {s:?}");
-        assert!(
-            r.trie_allocated_nodes() <= 2 * 17,
-            "allocation tracks the live set: {}",
-            r.trie_allocated_nodes()
-        );
-        assert!(s.peak_trie_nodes < 20 * 8, "peaks stayed far below unbounded growth");
-    }
-
-    #[test]
-    fn trie_byte_budget_bounds_memory() {
-        // Room for roughly two 8-token candidates under the byte model;
-        // the third wave must evict the stalest.
-        let budget = 2 * (8 * TRIE_NODE_FOOTPRINT + 64) + TRIE_NODE_FOOTPRINT;
-        let mut r = TraceReplayer::new(&cfg(2).with_max_trie_bytes(budget));
-        for wave in 0..12u32 {
-            let base = wave * 100;
-            let content: Vec<TaskHash> = (base..base + 8).map(hash).collect();
-            r.ingest(&MinedBatch {
-                job: u64::from(wave),
-                candidates: vec![MinedCandidate {
-                    content,
-                    occurrences: vec![u64::from(wave) * 100, u64::from(wave) * 100 + 8],
-                }],
-                slice_end: u64::from(wave + 1) * 100,
-            });
-            assert!(r.trie_bytes() <= budget, "live bytes within budget: {}", r.trie_bytes());
-        }
-        let s = r.stats();
-        assert!(s.evicted_candidates > 0, "budget forced evictions: {s:?}");
-        assert!(s.peak_trie_bytes <= budget, "post-enforcement peak bounded: {s:?}");
-        assert_eq!(s.trie_bytes, r.trie_bytes(), "stats mirror the live figure");
-    }
-
-    #[test]
-    fn zero_max_trace_length_terminates() {
-        // Regression: `end = offset + 0` used to loop `ingest` forever.
-        let mut bad = cfg(1);
-        bad.max_trace_length = Some(0);
-        let mut r = TraceReplayer::new(&bad);
-        r.ingest(&batch_of(&[&[1, 2, 3]]));
-        assert!(r.stats().candidates <= 3, "split degraded to 1-token pieces");
-    }
-
-    #[test]
-    fn zero_half_life_scores_stay_finite() {
-        // Regression: staleness 0 / half-life 0 used to be NaN, poisoning
-        // every `best_completed` comparison.
-        let mut bad = cfg(2);
-        bad.scoring.staleness_half_life = 0.0;
-        let mut r = TraceReplayer::new(&bad);
-        r.ingest(&MinedBatch {
-            job: 0,
-            candidates: vec![MinedCandidate {
-                content: vec![hash(1), hash(2)],
-                occurrences: vec![0],
-            }],
-            slice_end: 2,
-        });
-        let fresh = r.score(CandidateId(0), 2);
-        let stale = r.score(CandidateId(0), 100);
-        assert!(fresh.is_finite() && fresh > 0.0, "fresh score finite: {fresh}");
-        assert_eq!(stale, 0.0, "stale score collapses instead of NaN");
-        // And the replayer still replays.
-        let mut sink = EventSink::default();
-        feed(&mut r, &mut sink, &[1, 2]);
-        r.flush(&mut sink).unwrap();
-        assert_eq!(r.stats().traces_issued, 1);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_state_and_counters() {
-        let config = cfg(2).with_max_candidates(4);
-        let mut r = TraceReplayer::new(&config);
-        r.ingest(&batch_of(&[&[1, 2, 3], &[7, 8]]));
-        let mut s = EventSink::default();
-        // Leave a live cursor and pending tasks at the cut.
-        feed(&mut r, &mut s, &[9, 1, 2]);
-        assert!(r.pending_len() > 0, "cut mid-match");
-
-        let mut w = SnapshotWriter::new();
-        r.write_snapshot(&mut w);
-        let payload = w.into_payload();
-        let mut reader = SnapshotReader::new(&payload);
-        let mut restored = TraceReplayer::restore_snapshot(&config, &mut reader).unwrap();
-        reader.expect_end().unwrap();
-        assert_eq!(restored.stats(), r.stats());
-        assert_eq!(restored.pending_len(), r.pending_len());
-        assert_eq!(restored.trie_node_count(), r.trie_node_count());
-
-        // Both finish the match identically.
-        let (mut sa, mut sb) = (EventSink::default(), EventSink::default());
-        feed(&mut r, &mut sa, &[3, 5]);
-        feed(&mut restored, &mut sb, &[3, 5]);
-        r.flush(&mut sa).unwrap();
-        restored.flush(&mut sb).unwrap();
-        assert_eq!(sa.events, sb.events, "continuation is event-for-event identical");
-        assert_eq!(r.stats(), restored.stats());
-    }
-
-    #[test]
-    fn corrupt_replayer_snapshots_rejected() {
-        let config = cfg(2);
-        let mut r = TraceReplayer::new(&config);
-        r.ingest(&batch_of(&[&[1, 2]]));
-        let mut s = EventSink::default();
-        feed(&mut r, &mut s, &[1]);
-        let mut w = SnapshotWriter::new();
-        r.write_snapshot(&mut w);
-        let payload = w.into_payload();
-        // Truncation at any prefix is a typed error, never a panic.
-        for cut in [0, 1, payload.len() / 2, payload.len() - 1] {
-            let mut reader = SnapshotReader::new(&payload[..cut]);
-            assert!(
-                TraceReplayer::restore_snapshot(&config, &mut reader).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            /// Snapshot/restore at a random point of a random stream:
-            /// the restored replayer must forward exactly the events the
-            /// uninterrupted replayer forwards for the rest of the
-            /// stream, including after a fresh mining ingest (which
-            /// exercises slot recycling and capacity eviction).
-            #[test]
-            fn snapshot_restore_continues_identically(
-                cand_a in proptest::collection::vec(1u32..5, 2..5),
-                cand_b in proptest::collection::vec(1u32..5, 2..5),
-                stream in proptest::collection::vec(1u32..6, 4..50),
-                cut_sel in any::<u16>(),
-            ) {
-                let config = cfg(2).with_max_candidates(2);
-                let mut original = TraceReplayer::new(&config);
-                let seed: Vec<&[u32]> = vec![&cand_a];
-                original.ingest(&batch_of(&seed));
-                let cut = 1 + (cut_sel as usize) % (stream.len() - 1);
-                let mut pre = EventSink::default();
-                feed(&mut original, &mut pre, &stream[..cut]);
-
-                let mut w = SnapshotWriter::new();
-                original.write_snapshot(&mut w);
-                let payload = w.into_payload();
-                let mut reader = SnapshotReader::new(&payload);
-                let mut restored =
-                    TraceReplayer::restore_snapshot(&config, &mut reader).unwrap();
-                reader.expect_end().unwrap();
-
-                // A post-cut ingest lands identically on both (the
-                // capacity cap may force an eviction decision).
-                let late: Vec<&[u32]> = vec![&cand_b];
-                original.ingest(&batch_of(&late));
-                restored.ingest(&batch_of(&late));
-
-                let (mut sa, mut sb) = (EventSink::default(), EventSink::default());
-                feed(&mut original, &mut sa, &stream[cut..]);
-                feed(&mut restored, &mut sb, &stream[cut..]);
-                original.flush(&mut sa).unwrap();
-                restored.flush(&mut sb).unwrap();
-                prop_assert_eq!(sa.events, sb.events);
-                prop_assert_eq!(original.stats(), restored.stats());
-
-                // And their states stay byte-identical afterwards.
-                let (mut wa, mut wb) = (SnapshotWriter::new(), SnapshotWriter::new());
-                original.write_snapshot(&mut wa);
-                restored.write_snapshot(&mut wb);
-                prop_assert_eq!(wa.into_payload(), wb.into_payload());
-            }
-        }
-    }
-
-    #[test]
-    fn pending_queue_bounded_by_candidate_length() {
-        let mut r = TraceReplayer::new(&cfg(2));
-        r.ingest(&batch_of(&[&[1, 2, 3, 4, 5]]));
-        let mut s = EventSink::default();
-        // Stream never matches the candidate fully; pending must stay
-        // small (bounded by candidate length, not stream length).
-        for i in 0..1000u32 {
-            let k = 1 + (i % 3); // 1,2,3,1,2,3 — always dies at depth ≤ 3
-            r.on_task(task(k), hash(k), &mut s).unwrap();
-            assert!(r.pending_len() <= 5, "pending {} at {i}", r.pending_len());
-        }
-    }
-}
+mod tests;

@@ -40,6 +40,7 @@ impl LintConfig {
             hot_panic_modules: vec![
                 "crates/core/src/replayer.rs".into(),
                 "crates/core/src/engine.rs".into(),
+                "crates/substrings/src/trie.rs".into(),
                 FIXTURE_DIR.into(),
             ],
             ambient_exempt: vec!["crates/bench/".into(), "crates/shims/".into()],
@@ -90,6 +91,7 @@ mod tests {
         assert!(c.is_deterministic_module("crates/substrings/src/trie.rs"));
         assert!(!c.is_deterministic_module("crates/substrings/src/sais.rs"));
         assert!(c.is_hot_panic_module("crates/core/src/engine.rs"));
+        assert!(c.is_hot_panic_module("crates/substrings/src/trie.rs"));
         assert!(c.ambient_applies("crates/serve/src/lib.rs"));
         assert!(!c.ambient_applies("crates/bench/src/experiments.rs"));
         assert!(!c.ambient_applies("crates/shims/criterion/src/lib.rs"));

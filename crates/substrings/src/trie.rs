@@ -23,9 +23,21 @@
 //! Between removals node indices are stable: `remove` never moves a live
 //! node, so cursors stored as `(node, start)` pairs stay valid as long as
 //! their node was not in the pruned set.
+//!
+//! # Child layout
+//!
+//! Candidate tries are overwhelmingly chains: almost every node has
+//! exactly one child. A node therefore stores its children *inline* —
+//! nothing, or the single `(token, child)` edge — and only a branching
+//! node owns a heap block: a token-sorted edge list searched by binary
+//! search. A cursor step on a chain compares one token and touches one
+//! node (32 bytes for 64-bit tokens), with no hashing and no second
+//! allocation to chase; inserting along a chain allocates nothing beyond
+//! the node table itself. The sorted order is also exactly the order
+//! [`NodeSnapshot::sorted_children`] serializes, so snapshots do not
+//! depend on the in-memory layout.
 
 use crate::Token;
-use std::collections::HashMap;
 use std::hash::Hasher;
 
 /// Deterministic FNV-1a hasher backing the dense root map. The map is
@@ -84,9 +96,84 @@ impl NodeId {
     }
 }
 
+type Edge<T> = (T, NodeId);
+
+/// A node's outgoing edges (see the module docs, "Child layout").
+#[derive(Debug, Clone)]
+enum Children<T> {
+    None,
+    One(T, NodeId),
+    /// Two or more edges, strictly ascending by token. Boxed so the
+    /// variant is one thin pointer and a node stays at 32 bytes.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<Edge<T>>>),
+}
+
+impl<T: Token> Children<T> {
+    fn get(&self, token: T) -> Option<NodeId> {
+        match self {
+            Children::None => None,
+            Children::One(tok, child) => (*tok == token).then_some(*child),
+            Children::Many(edges) => {
+                edges.binary_search_by_key(&token, |&(tok, _)| tok).ok().map(|i| edges[i].1)
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Children::None)
+    }
+
+    /// The edges in ascending token order.
+    fn iter(&self) -> impl Iterator<Item = Edge<T>> + '_ {
+        let (one, many): (Option<Edge<T>>, &[Edge<T>]) = match self {
+            Children::None => (None, &[]),
+            Children::One(tok, child) => (Some((*tok, *child)), &[]),
+            Children::Many(edges) => (None, edges),
+        };
+        one.into_iter().chain(many.iter().copied())
+    }
+
+    /// Adds the edge `token -> child`; `token` must not be present.
+    fn insert(&mut self, token: T, child: NodeId) {
+        match self {
+            Children::None => *self = Children::One(token, child),
+            Children::One(tok, first) => {
+                let mut edges = vec![(*tok, *first), (token, child)];
+                edges.sort_unstable_by_key(|&(tok, _)| tok);
+                *self = Children::Many(Box::new(edges));
+            }
+            Children::Many(edges) => {
+                let at = edges.partition_point(|&(tok, _)| tok < token);
+                edges.insert(at, (token, child));
+            }
+        }
+    }
+
+    /// Drops the edge labelled `token`, if present.
+    fn remove(&mut self, token: T) {
+        match self {
+            Children::None => {}
+            Children::One(tok, _) => {
+                if *tok == token {
+                    *self = Children::None;
+                }
+            }
+            Children::Many(edges) => {
+                if let Ok(i) = edges.binary_search_by_key(&token, |&(tok, _)| tok) {
+                    edges.remove(i);
+                }
+                if let [(tok, child)] = edges[..] {
+                    *self = Children::One(tok, child);
+                }
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node<T> {
-    children: HashMap<T, NodeId>,
+    children: Children<T>,
     /// Set when a candidate ends at this node.
     terminal: Option<CandidateId>,
     /// Depth = number of tokens from the root.
@@ -99,7 +186,7 @@ struct Node<T> {
 
 impl<T> Node<T> {
     fn new(depth: u32) -> Self {
-        Self { children: HashMap::new(), terminal: None, depth, subtree_max: 0 }
+        Self { children: Children::None, terminal: None, depth, subtree_max: 0 }
     }
 }
 
@@ -135,10 +222,14 @@ pub struct Trie<T> {
     /// Candidates currently stored (lengths slots with a non-zero length).
     // snapshot: derived — recounted from `lengths` on restore
     live_candidates: usize,
+    /// Tokens stored across all live candidates (the sum of `lengths`),
+    /// kept running so byte-model accounting never rescans the table.
+    // snapshot: derived — re-summed from `lengths` on restore
+    content_tokens: usize,
     /// Dense occupancy counters over the root's outgoing tokens, bucketed
     /// by FNV-1a hash: a zero bucket proves no candidate starts with that
     /// token, letting [`Self::can_start_with`] answer the common negative
-    /// without touching the root hash map. Rebuilt on restore, never
+    /// without searching the root's edge list. Rebuilt on restore, never
     /// serialized.
     root_map: Box<[u32; ROOT_BUCKETS]>, // snapshot: derived
 }
@@ -156,6 +247,7 @@ impl<T: Token> Trie<T> {
             free_nodes: Vec::new(),
             free_candidates: Vec::new(),
             live_candidates: 0,
+            content_tokens: 0,
             root_map: Box::new([0; ROOT_BUCKETS]),
         }
     }
@@ -201,8 +293,8 @@ impl<T: Token> Trie<T> {
             let node = &mut self.nodes[cur.0 as usize];
             node.subtree_max = node.subtree_max.max(len);
             let depth = i as u32 + 1;
-            let nxt = match self.nodes[cur.0 as usize].children.get(&tok) {
-                Some(&n) => n,
+            let nxt = match self.nodes[cur.0 as usize].children.get(tok) {
+                Some(n) => n,
                 None => {
                     let n = self.alloc_node(depth);
                     self.nodes[cur.0 as usize].children.insert(tok, n);
@@ -234,6 +326,7 @@ impl<T: Token> Trie<T> {
         };
         self.nodes[cur.0 as usize].terminal = Some(id);
         self.live_candidates += 1;
+        self.content_tokens += seq.len();
         Some(id)
     }
 
@@ -250,13 +343,22 @@ impl<T: Token> Trie<T> {
         self.lengths[idx] = 0;
         self.free_candidates.push(id.0);
         self.live_candidates -= 1;
+        self.content_tokens -= seq.len();
 
         // Walk the candidate's path.
         let mut path = Vec::with_capacity(seq.len() + 1);
         path.push(Self::ROOT);
         let mut cur = Self::ROOT;
         for &tok in &seq {
-            cur = self.step(cur, tok).expect("live candidate path exists");
+            let Some(next) = self.step(cur, tok) else {
+                // A live candidate always has an intact path (`insert`
+                // builds it, `from_snapshot` verifies it). Were it broken
+                // the candidate is already unrecognizable: retire the slot
+                // and leave every node where it is.
+                debug_assert!(false, "live candidate path exists");
+                return Some(Vec::new());
+            };
+            cur = next;
             path.push(cur);
         }
         debug_assert_eq!(self.nodes[cur.0 as usize].terminal, Some(id));
@@ -270,7 +372,7 @@ impl<T: Token> Trie<T> {
             let n = path[i];
             let node = &self.nodes[n.0 as usize];
             if node.children.is_empty() && node.terminal.is_none() {
-                self.nodes[path[i - 1].0 as usize].children.remove(&seq[i - 1]);
+                self.nodes[path[i - 1].0 as usize].children.remove(seq[i - 1]);
                 if i == 1 {
                     self.root_map[Self::root_bucket(&seq[0])] -= 1;
                 }
@@ -289,8 +391,8 @@ impl<T: Token> Trie<T> {
             let term = node.terminal.map_or(0, |c| self.lengths[c.0 as usize]);
             let best = node
                 .children
-                .values()
-                .map(|child| self.nodes[child.0 as usize].subtree_max)
+                .iter()
+                .map(|(_, child)| self.nodes[child.0 as usize].subtree_max)
                 .max()
                 .unwrap_or(0)
                 .max(term);
@@ -313,14 +415,16 @@ impl<T: Token> Trie<T> {
                 continue;
             }
             let id = CandidateId(idx as u32);
-            let mut old = Self::ROOT;
+            // The rebuilt path comes from the candidate's content alone;
+            // the old path is walked only to fill the remap.
+            let mut old = Some(Self::ROOT);
             let mut new = Self::ROOT;
             for (i, &tok) in self.contents[idx].iter().enumerate() {
-                old = self.step(old, tok).expect("live candidate path exists");
+                old = old.and_then(|o| self.step(o, tok));
                 let node = &mut new_nodes[new.0 as usize];
                 node.subtree_max = node.subtree_max.max(len);
-                let nxt = match new_nodes[new.0 as usize].children.get(&tok) {
-                    Some(&n) => n,
+                let nxt = match new_nodes[new.0 as usize].children.get(tok) {
+                    Some(n) => n,
                     None => {
                         let n = NodeId(new_nodes.len() as u32);
                         new_nodes.push(Node::new(i as u32 + 1));
@@ -329,7 +433,12 @@ impl<T: Token> Trie<T> {
                     }
                 };
                 new = nxt;
-                remap[old.0 as usize] = Some(new);
+                match old {
+                    Some(o) => remap[o.0 as usize] = Some(new),
+                    // Same invariant as in `remove`; the candidate is
+                    // rebuilt intact, only its old nodes go unmapped.
+                    None => debug_assert!(false, "live candidate path exists"),
+                }
             }
             let node = &mut new_nodes[new.0 as usize];
             node.subtree_max = node.subtree_max.max(len);
@@ -342,7 +451,7 @@ impl<T: Token> Trie<T> {
 
     /// Advances a cursor by one token; `None` if no such transition exists.
     pub fn step(&self, node: NodeId, token: T) -> Option<NodeId> {
-        self.nodes[node.0 as usize].children.get(&token).copied()
+        self.nodes[node.0 as usize].children.get(token)
     }
 
     /// The candidate ending exactly at `node`, if any.
@@ -457,6 +566,11 @@ impl<T: Token> Trie<T> {
         self.free_nodes.len()
     }
 
+    /// Tokens stored across all live candidates.
+    pub fn content_tokens(&self) -> usize {
+        self.content_tokens
+    }
+
     /// Whether the trie holds no candidates.
     pub fn is_empty(&self) -> bool {
         self.live_candidates == 0
@@ -465,9 +579,9 @@ impl<T: Token> Trie<T> {
     /// Whether any candidate starts with `token` (i.e. a fresh cursor could
     /// make progress). A zero bucket in the dense root map settles the
     /// common negative with one array read; occupied buckets fall back to
-    /// the exact root hash-map probe, so the answer is always exact.
+    /// the exact root edge search, so the answer is always exact.
     pub fn can_start_with(&self, token: T) -> bool {
-        self.root_map[Self::root_bucket(&token)] != 0 && self.nodes[0].children.contains_key(&token)
+        self.root_map[Self::root_bucket(&token)] != 0 && self.nodes[0].children.get(token).is_some()
     }
 }
 
@@ -479,7 +593,7 @@ impl<T: Token> Default for Trie<T> {
 
 /// One node of a [`TrieSnapshot`]: the plain-data mirror of a trie node,
 /// with children listed in sorted token order so identical tries produce
-/// identical snapshots despite the backing hash maps.
+/// identical snapshots whatever the in-memory child layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSnapshot<T> {
     /// `(token, child slot index)` transitions, sorted by token.
@@ -517,16 +631,11 @@ impl<T: Token> Trie<T> {
         let nodes = self
             .nodes
             .iter()
-            .map(|n| {
-                let mut children: Vec<(T, u32)> =
-                    n.children.iter().map(|(&tok, &id)| (tok, id.0)).collect();
-                children.sort_unstable_by_key(|&(tok, _)| tok);
-                NodeSnapshot {
-                    sorted_children: children,
-                    terminal: n.terminal.map(|c| c.0),
-                    depth: n.depth,
-                    subtree_max: n.subtree_max,
-                }
+            .map(|n| NodeSnapshot {
+                sorted_children: n.children.iter().map(|(tok, id)| (tok, id.0)).collect(),
+                terminal: n.terminal.map(|c| c.0),
+                depth: n.depth,
+                subtree_max: n.subtree_max,
             })
             .collect();
         TrieSnapshot {
@@ -539,9 +648,9 @@ impl<T: Token> Trie<T> {
     }
 
     /// Rebuilds a trie from a snapshot, validating structural invariants:
-    /// slot indices in range, candidate lengths matching contents,
-    /// terminals naming live candidates, and free lists naming genuinely
-    /// free slots. A restored trie is behaviorally identical to the
+    /// slot indices in range, child lists strictly sorted, candidate
+    /// lengths matching contents, terminals naming live candidates, and
+    /// free lists naming genuinely free slots. A restored trie is behaviorally identical to the
     /// original — same recognition, same future slot recycling.
     ///
     /// # Errors
@@ -557,6 +666,7 @@ impl<T: Token> Trie<T> {
         }
         let cand_bound = snap.lengths.len();
         let mut live_candidates = 0usize;
+        let content_tokens = snap.contents.iter().map(Vec::len).sum();
         for (len, content) in snap.lengths.iter().zip(&snap.contents) {
             match len {
                 0 if !content.is_empty() => {
@@ -580,15 +690,19 @@ impl<T: Token> Trie<T> {
             if free && (!n.sorted_children.is_empty() || n.terminal.is_some()) {
                 return Err("free-listed node is not empty".into());
             }
-            let mut children = HashMap::with_capacity(n.sorted_children.len());
-            for &(tok, child) in &n.sorted_children {
-                if child as usize >= node_bound || child == 0 {
-                    return Err("child index out of range".into());
-                }
-                if children.insert(tok, NodeId(child)).is_some() {
-                    return Err("duplicate child token".into());
-                }
+            if n.sorted_children.iter().any(|&(_, c)| c as usize >= node_bound || c == 0) {
+                return Err("child index out of range".into());
             }
+            if n.sorted_children.windows(2).any(|w| w[0].0 >= w[1].0) {
+                return Err("child tokens not strictly ascending".into());
+            }
+            let children = match n.sorted_children[..] {
+                [] => Children::None,
+                [(tok, child)] => Children::One(tok, NodeId(child)),
+                _ => Children::Many(Box::new(
+                    n.sorted_children.iter().map(|&(tok, c)| (tok, NodeId(c))).collect(),
+                )),
+            };
             if let Some(c) = n.terminal {
                 if (c as usize) >= cand_bound || snap.lengths[c as usize] == 0 {
                     return Err("terminal names a dead candidate".into());
@@ -607,10 +721,8 @@ impl<T: Token> Trie<T> {
             }
         }
         let mut root_map = Box::new([0u32; ROOT_BUCKETS]);
-        // lint: allow(unordered-iter): bucket counts are commutative sums —
-        // visit order cannot affect the counters' final values
-        for tok in nodes[0].children.keys() {
-            root_map[Self::root_bucket(tok)] += 1;
+        for (tok, _) in nodes[0].children.iter() {
+            root_map[Self::root_bucket(&tok)] += 1;
         }
         let trie = Self {
             nodes,
@@ -619,6 +731,7 @@ impl<T: Token> Trie<T> {
             free_nodes: snap.free_nodes,
             free_candidates: snap.free_candidates,
             live_candidates,
+            content_tokens,
             root_map,
         };
         // Every live candidate must be recognized along an intact path.
@@ -663,6 +776,11 @@ mod tests {
         assert_eq!(t.terminal(cur), Some(abc));
         assert!(t.is_leaf(cur));
         assert_eq!(t.depth(cur), 3);
+    }
+
+    #[test]
+    fn chain_nodes_fit_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Node<u64>>(), 32);
     }
 
     #[test]
@@ -914,43 +1032,67 @@ mod tests {
                 prop_assert!(t.node_count() <= total + 1);
             }
 
-            /// Interleaved insert/remove tracked against a naive
-            /// set-of-sequences model: live candidates stay recognized,
-            /// removed ones stay gone, and every aggregate (candidate
-            /// count, max length, node count, start-token set) matches a
-            /// trie rebuilt fresh from the model.
+            /// Interleaved insert/remove/compact/snapshot-restore tracked
+            /// against a naive set-of-sequences model. The 4-token alphabet
+            /// drives nodes through 0 <-> 1 <-> many children in both
+            /// directions; after every operation the trie must agree with
+            /// the model on *every* transition out of every live prefix
+            /// (present and absent), on leaves, and on every aggregate a
+            /// trie rebuilt fresh from the model reports.
             #[test]
             fn interleaved_insert_remove_matches_model(
                 ops in proptest::collection::vec(
-                    (any::<bool>(), proptest::collection::vec(0u8..3, 1..8)),
+                    (0u8..6, proptest::collection::vec(0u8..4, 1..8)),
                     1..40)
             ) {
                 let mut t: Trie<u8> = Trie::new();
                 let mut model: Map<Vec<u8>, CandidateId> = Map::new();
-                for (remove, seq) in &ops {
-                    if *remove {
-                        if let Some(id) = model.remove(seq) {
-                            prop_assert!(t.remove(id).is_some());
-                        } else {
+                for (op, seq) in &ops {
+                    match op {
+                        0..=2 => {
+                            let id = t.insert(seq).unwrap();
+                            model.insert(seq.clone(), id);
+                        }
+                        3 => match model.remove(seq) {
+                            Some(id) => prop_assert!(t.remove(id).is_some()),
                             // Removing something never inserted (or already
                             // removed) must be a clean no-op.
-                            prop_assert!(
-                                model.values().next().is_none()
-                                    || t.candidate_count() == model.len()
-                            );
+                            None => prop_assert_eq!(t.candidate_count(), model.len()),
+                        },
+                        4 => {
+                            let live = t.node_count();
+                            t.compact();
+                            prop_assert_eq!(t.allocated_node_count(), live);
                         }
-                    } else {
-                        let id = t.insert(seq).unwrap();
-                        model.insert(seq.clone(), id);
+                        _ => {
+                            let snap = t.to_snapshot();
+                            t = Trie::from_snapshot(snap.clone()).expect("own snapshots restore");
+                            prop_assert_eq!(t.to_snapshot(), snap);
+                        }
                     }
 
-                    // Live candidates recognized with their current ids.
-                    for (s, id) in &model {
+                    // Every transition out of every live prefix, present or
+                    // absent, matches the model; so do leaves and terminals.
+                    let prefixes: std::collections::BTreeSet<&[u8]> =
+                        model.keys().flat_map(|s| (0..=s.len()).map(|n| &s[..n])).collect();
+                    for &prefix in &prefixes {
                         let mut cur = Trie::<u8>::ROOT;
-                        for &tok in s {
+                        for &tok in prefix {
                             cur = t.step(cur, tok).expect("live path intact");
                         }
-                        prop_assert_eq!(t.terminal(cur), Some(*id));
+                        prop_assert_eq!(t.depth(cur), prefix.len());
+                        prop_assert_eq!(t.terminal(cur), model.get(prefix).copied());
+                        let mut fanout = 0;
+                        for tok in 0u8..4 {
+                            let mut ext = prefix.to_vec();
+                            ext.push(tok);
+                            let expect = prefixes.contains(ext.as_slice());
+                            prop_assert_eq!(t.step(cur, tok).is_some(), expect);
+                            fanout += usize::from(expect);
+                        }
+                        prop_assert_eq!(t.is_leaf(cur), fanout == 0);
+                    }
+                    for (s, id) in &model {
                         prop_assert_eq!(t.candidate(*id), s.as_slice());
                         prop_assert!(t.is_live(*id));
                     }
@@ -962,8 +1104,10 @@ mod tests {
                     }
                     prop_assert_eq!(t.candidate_count(), model.len());
                     prop_assert_eq!(t.node_count(), fresh.node_count());
+                    prop_assert_eq!(t.node_count(), prefixes.len().max(1));
+                    prop_assert_eq!(t.content_tokens(), fresh.content_tokens());
                     prop_assert_eq!(t.max_candidate_len(), fresh.max_candidate_len());
-                    for tok in 0u8..3 {
+                    for tok in 0u8..4 {
                         prop_assert_eq!(t.can_start_with(tok), fresh.can_start_with(tok));
                     }
                     prop_assert_eq!(t.is_empty(), model.is_empty());

@@ -171,8 +171,8 @@ fn run_artifacts(tracing: Tracing, batched: bool, retention: LogRetention) -> Ru
 
 #[test]
 fn fast_paths_match_the_frozen_reference_pipeline() {
-    // The recognize/replay hot paths (untraceable short-circuit,
-    // mid-replay memo, batched forwarding, deferred pipeline pump) must
+    // The recognize/replay hot paths (untraceable short-circuit, O(1)
+    // deferral verdicts, batched forwarding, deferred pipeline pump) must
     // be invisible: against the frozen per-task reference pipeline, the
     // operation log is bit-for-bit identical and every counter agrees —
     // per-task and batched, stored (Full) and streaming (Drain).
