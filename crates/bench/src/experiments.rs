@@ -245,208 +245,6 @@ pub fn tab_overhead() -> OverheadReport {
     }
 }
 
-/// One measured configuration of the `hot_path` bench: tasks/s through
-/// the recognize/replay pipeline (or the whole session stack) for one
-/// steady-state stream shape and issue mode.
-#[derive(Debug, Clone)]
-pub struct HotPathRow {
-    /// Stream shape: `untraceable`, `replaying`, `mixed`.
-    pub stream: &'static str,
-    /// Measurement layer: `replayer` (the recognize/replay pipeline in
-    /// isolation) or `session` (the full stack through a `Session`).
-    pub layer: &'static str,
-    /// Issue mode: `reference` (the frozen per-task pipeline), `fast`
-    /// (per-task hot paths), `batched` (`on_batch` / `issue_batch`).
-    pub mode: &'static str,
-    /// Tasks driven through the layer.
-    pub tasks: usize,
-    /// Measured throughput in millions of tasks per second.
-    pub mtask_per_sec: f64,
-    /// Order-sensitive digest of every event the layer emitted — must be
-    /// bit-identical across modes within one (stream, layer) pair.
-    pub digest: u64,
-}
-
-/// Motif length shared by the replaying/mixed hot-path streams.
-pub const HOT_PATH_MOTIF: usize = 16;
-
-/// Tasks per `issue_batch` / `on_batch` call in the batched modes.
-pub const HOT_PATH_CHUNK: usize = 256;
-
-/// The hot-path bench configuration: motifs short enough to mine fast,
-/// batches large enough that the miner stays off the measured path.
-pub fn hot_path_config() -> Config {
-    Config::standard().with_min_trace_length(8).with_batch_size(1024).with_multi_scale_factor(128)
-}
-
-/// Task-kind stream for one hot-path shape. `untraceable` never repeats
-/// a kind (the trie's root map rejects every token), `replaying` loops
-/// the [`HOT_PATH_MOTIF`]-kind motif forever, `mixed` alternates
-/// 512-task motif blocks with 512-task aperiodic blocks.
-pub fn hot_path_kinds(stream: &'static str, tasks: usize) -> Vec<u32> {
-    const NOISE: u32 = 1 << 20;
-    (0..tasks as u32)
-        .map(|i| match stream {
-            "untraceable" => NOISE + i,
-            "replaying" => i % HOT_PATH_MOTIF as u32,
-            "mixed" => {
-                if (i / 512) % 2 == 0 {
-                    i % HOT_PATH_MOTIF as u32
-                } else {
-                    NOISE + i
-                }
-            }
-            other => panic!("unknown hot-path stream {other:?}"),
-        })
-        .collect()
-}
-
-/// A sink that digests every event it sees (FNV-1a, order-sensitive):
-/// equal digests mean the replayer emitted bit-identical event streams.
-struct DigestSink {
-    digest: u64,
-}
-
-impl DigestSink {
-    fn new() -> Self {
-        Self { digest: 0xcbf2_9ce4_8422_2325 }
-    }
-
-    fn mix(&mut self, tag: u64, value: u64) {
-        for word in [tag, value] {
-            for byte in word.to_le_bytes() {
-                self.digest ^= byte as u64;
-                self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-}
-
-impl apophenia::TraceSink for DigestSink {
-    type Error = std::convert::Infallible;
-
-    fn begin_trace(&mut self, id: tasksim::ids::TraceId) -> Result<(), Self::Error> {
-        self.mix(1, u64::from(id.0));
-        Ok(())
-    }
-
-    fn end_trace(&mut self, id: tasksim::ids::TraceId) -> Result<(), Self::Error> {
-        self.mix(2, u64::from(id.0));
-        Ok(())
-    }
-
-    fn execute_task(&mut self, task: TaskDesc) -> Result<(), Self::Error> {
-        self.mix(3, task.kind.0 as u64);
-        Ok(())
-    }
-
-    fn forget_trace(&mut self, id: tasksim::ids::TraceId) -> Result<(), Self::Error> {
-        self.mix(4, u64::from(id.0));
-        Ok(())
-    }
-
-    fn record_trace_score(
-        &mut self,
-        id: tasksim::ids::TraceId,
-        score: f64,
-    ) -> Result<(), Self::Error> {
-        self.mix(5, u64::from(id.0));
-        self.mix(6, score.to_bits());
-        Ok(())
-    }
-}
-
-/// Drives one hot-path stream through a bare [`apophenia::TraceReplayer`]
-/// (motif pre-ingested, mining excluded) and measures wall-clock tasks/s
-/// plus the event digest. This is the layer the steady-state fast paths
-/// live in, so it is where the speedup thresholds are enforced.
-pub fn run_hot_path_replayer(stream: &'static str, mode: &'static str, tasks: usize) -> HotPathRow {
-    use apophenia::{MinedBatch, MinedCandidate, TraceReplayer};
-    use std::time::Instant;
-
-    let mut config = hot_path_config();
-    if mode == "reference" {
-        config = config.with_reference_pipeline();
-    }
-    let mut replayer = TraceReplayer::new(&config);
-    let content: Vec<_> =
-        (0..HOT_PATH_MOTIF as u32).map(|k| TaskDesc::new(TaskKindId(k)).semantic_hash()).collect();
-    replayer.ingest(&MinedBatch {
-        job: 0,
-        candidates: vec![MinedCandidate { content, occurrences: vec![0] }],
-        slice_end: 0,
-    });
-    let kinds = hot_path_kinds(stream, tasks);
-    let mut sink = DigestSink::new();
-    let t0 = Instant::now();
-    if mode == "batched" {
-        let mut buf = Vec::with_capacity(HOT_PATH_CHUNK);
-        for chunk in kinds.chunks(HOT_PATH_CHUNK) {
-            buf.extend(chunk.iter().map(|&k| {
-                let desc = TaskDesc::new(TaskKindId(k));
-                let hash = desc.semantic_hash();
-                (desc, hash)
-            }));
-            replayer.on_batch(&mut buf, &mut sink).unwrap();
-        }
-    } else {
-        for &k in &kinds {
-            let desc = TaskDesc::new(TaskKindId(k));
-            let hash = desc.semantic_hash();
-            replayer.on_task(desc, hash, &mut sink).unwrap();
-        }
-    }
-    replayer.flush(&mut sink).unwrap();
-    let secs = t0.elapsed().as_secs_f64();
-    HotPathRow {
-        stream,
-        layer: "replayer",
-        mode,
-        tasks,
-        mtask_per_sec: tasks as f64 / secs / 1e6,
-        digest: sink.digest,
-    }
-}
-
-/// Drives one hot-path stream through a full `Session` front-end
-/// (mining, replayer, runtime, and simulation pipeline all live) and
-/// measures wall-clock tasks/s plus the runtime's op digest — the
-/// end-to-end confirmation that the fast paths change throughput only.
-pub fn run_hot_path_session(stream: &'static str, mode: &'static str, tasks: usize) -> HotPathRow {
-    use apophenia::{Session, Tracing};
-    use std::time::Instant;
-
-    let mut config = hot_path_config();
-    if mode == "reference" {
-        config = config.with_reference_pipeline();
-    }
-    let mut issuer =
-        Session::builder().nodes(1).gpus_per_node(2).tracing(Tracing::Auto(config)).build();
-    let kinds = hot_path_kinds(stream, tasks);
-    let t0 = Instant::now();
-    if mode == "batched" {
-        for chunk in kinds.chunks(HOT_PATH_CHUNK) {
-            let batch: Vec<TaskDesc> =
-                chunk.iter().map(|&k| TaskDesc::new(TaskKindId(k))).collect();
-            issuer.issue_batch(batch).expect("hot-path stream issues cleanly");
-        }
-    } else {
-        for &k in &kinds {
-            issuer.execute_task(TaskDesc::new(TaskKindId(k))).expect("hot-path stream issues");
-        }
-    }
-    issuer.flush().expect("flush");
-    let secs = t0.elapsed().as_secs_f64();
-    HotPathRow {
-        stream,
-        layer: "session",
-        mode,
-        tasks,
-        mtask_per_sec: tasks as f64 / secs / 1e6,
-        digest: issuer.op_digest(),
-    }
-}
-
 /// One run of the phase-shift trace-lifecycle soak: memory footprint and
 /// per-phase replay coverage under (or without) capacity bounds.
 #[derive(Debug, Clone)]

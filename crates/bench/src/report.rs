@@ -1,8 +1,8 @@
 //! Plain-text rendering of experiment results.
 
 use crate::experiments::{
-    CheckpointSoakRow, HotPathRow, LifecycleRow, MiningThroughputRow, OverheadReport,
-    ScalingFigure, StreamingSoakRow, WarmupRow,
+    CheckpointSoakRow, LifecycleRow, MiningThroughputRow, OverheadReport, ScalingFigure,
+    StreamingSoakRow, WarmupRow,
 };
 use std::fmt::Write as _;
 
@@ -104,58 +104,6 @@ pub fn render_mining_throughput(rows: &[MiningThroughputRow]) -> String {
             r.stream, r.config, r.tokens, r.threads, r.mtok_per_sec
         );
     }
-    out
-}
-
-/// Renders the `hot_path` table: steady-state throughput per stream
-/// shape, measurement layer, and issue mode, with the per-mode event
-/// digests that must agree within each (stream, layer) pair.
-pub fn render_hot_path(rows: &[HotPathRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Hot-path throughput (recognize/replay steady states)");
-    let _ = writeln!(
-        out,
-        "{:>12} {:>10} {:>10} {:>10} {:>10} {:>13} {:>18}",
-        "stream", "layer", "mode", "tasks", "Mtask/s", "ns/task", "digest"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>12} {:>10} {:>10} {:>10} {:>10.2} {:>13.1} {:>18x}",
-            r.stream,
-            r.layer,
-            r.mode,
-            r.tasks,
-            r.mtask_per_sec,
-            1e3 / r.mtask_per_sec,
-            r.digest
-        );
-    }
-    out
-}
-
-/// Renders the `hot_path` rows as JSON (`BENCH_hot_path.json`), so
-/// successive PRs can track the throughput trajectory mechanically.
-pub fn render_hot_path_json(rows: &[HotPathRow]) -> String {
-    let mut out =
-        String::from("{\n  \"bench\": \"hot_path\",\n  \"unit\": \"Mtask/s\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"stream\": \"{}\", \"layer\": \"{}\", \"mode\": \"{}\", \"tasks\": {}, \
-             \"mtask_per_sec\": {:.3}, \"ns_per_task\": {:.1}, \"digest\": \"{:016x}\"}}{}",
-            r.stream,
-            r.layer,
-            r.mode,
-            r.tasks,
-            r.mtask_per_sec,
-            1e3 / r.mtask_per_sec,
-            r.digest,
-            comma
-        );
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 
@@ -311,37 +259,6 @@ mod tests {
         assert!(s.contains("sais") && s.contains("pool"));
         assert!(s.contains("12.35") && s.contains("3.50"));
         assert!(s.contains("Mtok/s"));
-    }
-
-    #[test]
-    fn hot_path_render() {
-        let rows = vec![
-            HotPathRow {
-                stream: "untraceable",
-                layer: "replayer",
-                mode: "reference",
-                tasks: 2_000_000,
-                mtask_per_sec: 12.5,
-                digest: 0xdead_beef,
-            },
-            HotPathRow {
-                stream: "replaying",
-                layer: "session",
-                mode: "batched",
-                tasks: 400_000,
-                mtask_per_sec: 2.0,
-                digest: 0xcafe,
-            },
-        ];
-        let s = render_hot_path(&rows);
-        assert!(s.contains("untraceable") && s.contains("batched"));
-        assert!(s.contains("12.50") && s.contains("80.0"), "ns/task column: {s}");
-        assert!(s.contains("deadbeef"), "digest rendered in hex: {s}");
-        let j = render_hot_path_json(&rows);
-        assert!(j.contains("\"bench\": \"hot_path\""));
-        assert!(j.contains("\"mtask_per_sec\": 12.500"));
-        assert!(j.contains("\"digest\": \"00000000deadbeef\""));
-        assert!(j.trim_end().ends_with('}') && !j.contains("},\n  ]"), "valid JSON tail: {j}");
     }
 
     #[test]

@@ -254,12 +254,6 @@ pub struct Config {
     /// What a mining-pipeline failure does to the engine (degrade
     /// untraced by default; see [`FinderPolicy`]).
     pub finder_policy: FinderPolicy,
-    /// Route every task through the frozen per-task reference pipeline
-    /// instead of the batch-aware fast paths. The two produce
-    /// bit-identical op digests, reports, and stats — the reference exists
-    /// as the baseline the parity proptests and the `hot_path` bench
-    /// measure the fast paths against. Off by default.
-    pub reference_pipeline: bool,
 }
 
 impl Config {
@@ -281,7 +275,6 @@ impl Config {
             capacity: CapacityConfig::default(),
             winnow_prefilter: false,
             finder_policy: FinderPolicy::default(),
-            reference_pipeline: false,
         }
     }
 
@@ -345,14 +338,6 @@ impl Config {
     /// Selects the mining-failure policy.
     pub fn with_finder_policy(mut self, policy: FinderPolicy) -> Self {
         self.finder_policy = policy;
-        self
-    }
-
-    /// Routes every task through the frozen per-task reference pipeline
-    /// (see [`Config::reference_pipeline`]). Baselines only; the fast
-    /// paths are bit-identical and strictly faster.
-    pub fn with_reference_pipeline(mut self) -> Self {
-        self.reference_pipeline = true;
         self
     }
 

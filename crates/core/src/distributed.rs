@@ -21,6 +21,7 @@
 //! the protocol sees exactly the nondeterminism a real deployment would.
 
 use crate::config::Config;
+use crate::engine::AutoTracer;
 use crate::finder::{get_batch, put_batch, MinedBatch, TraceFinder};
 use crate::replayer::TraceReplayer;
 use crate::snapshot::{get_config, put_config};
@@ -224,20 +225,14 @@ impl DistributedAutoTracer {
         delay: DelayModel,
         initial_interval: u64,
     ) -> Self {
-        // Fold the tracing config's template byte budget into every node's
-        // runtime config (tighter of the two when both are set) — applied
-        // identically everywhere, so byte-driven evictions stay in
+        // The same fold on every node, so byte-driven evictions stay in
         // lock-step.
-        let mut rt_config = rt_config;
-        if let Some(bytes) = config.capacity.max_template_bytes {
-            rt_config.max_template_bytes =
-                Some(rt_config.max_template_bytes.map_or(bytes, |own| own.min(bytes)));
-        }
+        let rt_config = AutoTracer::apply_caps(rt_config, &config);
         let nodes = (0..rt_config.nodes)
             .map(|_| NodeState {
                 finder: TraceFinder::new(&config),
                 replayer: TraceReplayer::new(&config),
-                rt: Runtime::new(rt_config.with_auto_layer()),
+                rt: Runtime::new(rt_config),
                 queue: VecDeque::new(),
             })
             .collect();

@@ -8,9 +8,16 @@
 //! possibly re-bracketed stream of tasks and `begin_trace`/`end_trace`
 //! calls to the underlying [`Runtime`]. Applications using [`AutoTracer`]
 //! need no tracing annotations at all.
+//!
+//! Both issue entry points run that one procedure. `execute_task` runs it
+//! start to finish per task; [`TaskIssuer::issue_batch`] runs the finder
+//! half over the whole call first and the replayer half after, so the
+//! call's tokens reach the miner before recognition starts (asynchronous
+//! mining then overlaps the call) — mined results still ingest at the
+//! stream position they completed at, so the two decide identically.
 
 use crate::config::{Config, FinderPolicy};
-use crate::finder::{FinderError, MiningPool, TraceFinder};
+use crate::finder::{FinderError, MinedBatch, MiningPool, TraceFinder};
 use crate::metrics::{CapacitySample, CapacitySeries, TracedWindow, WarmupDetector};
 use crate::replayer::{ReplayerStats, TraceReplayer};
 use crate::snapshot::{get_config, put_config};
@@ -107,8 +114,9 @@ impl AutoTracer {
     /// Folds the tracing config's template byte budget
     /// ([`crate::config::CapacityConfig::max_template_bytes`]) into the
     /// runtime config (taking the tighter of the two when both are set)
-    /// and forces auto-layer cost accounting.
-    fn apply_caps(mut rt_config: RuntimeConfig, config: &Config) -> RuntimeConfig {
+    /// and forces auto-layer cost accounting. Shared with the distributed
+    /// front-end, which applies it identically on every node.
+    pub(crate) fn apply_caps(mut rt_config: RuntimeConfig, config: &Config) -> RuntimeConfig {
         if let Some(bytes) = config.capacity.max_template_bytes {
             rt_config.max_template_bytes =
                 Some(rt_config.max_template_bytes.map_or(bytes, |own| own.min(bytes)));
@@ -141,66 +149,53 @@ impl AutoTracer {
     /// Propagates runtime errors (which, by construction, automatic
     /// tracing never triggers for trace validity).
     pub fn execute_task(&mut self, task: TaskDesc) -> Result<(), RuntimeError> {
-        self.issue_one(task)?;
+        let (hash, mined) = self.observe(&task)?;
+        self.ingest_all(mined);
+        self.replayer.on_task(task, hash, &mut self.rt)?;
         self.absorb_stats();
         Ok(())
     }
 
-    /// The per-task core of Algorithm 1, shared by the single-task and
-    /// batched issue paths. Mined batches ingest at the exact stream
-    /// position the finder completed at, so batched issuance is
-    /// decision-for-decision identical to task-at-a-time issuance; only
-    /// the metrics bookkeeping ([`Self::absorb_stats`]) is amortized by
-    /// the caller.
-    fn issue_one(&mut self, task: TaskDesc) -> Result<(), RuntimeError> {
+    /// The finder half of Algorithm 1, shared by both issue entry points:
+    /// hashes `task`, records the token (which may submit a mining job),
+    /// applies the failure policy, and returns the hash with whatever
+    /// analyses completed. The caller ingests them *before* recognising
+    /// `task` — that stream position is what makes every front-end and
+    /// both entry points decide identically.
+    fn observe(&mut self, task: &TaskDesc) -> Result<(TaskHash, Vec<MinedBatch>), RuntimeError> {
         let hash = task.semantic_hash();
         self.issued += 1;
         self.finder.record(hash);
         self.enforce_finder_policy()?;
-        let mut ingested = false;
-        for batch in self.finder.poll_completed() {
-            self.replayer.ingest(&batch);
-            ingested = true;
-        }
-        if ingested {
-            self.sample_capacity();
-        }
-        self.replayer.on_task(task, hash, &mut self.rt)
+        Ok((hash, self.finder.poll_completed()))
     }
 
-    /// The batched core of Algorithm 1: hashes and records every task,
-    /// accumulating `(task, hash)` pairs in `run` and flushing them
-    /// through [`TraceReplayer::on_batch`] whenever a mined batch must
-    /// ingest at its exact stream position (and once at the end).
-    fn issue_batch_inner(
+    /// Ingests completed analyses, sampling the candidate-store footprint
+    /// once if anything landed.
+    fn ingest_all(&mut self, mined: Vec<MinedBatch>) {
+        for batch in &mined {
+            self.replayer.ingest(batch);
+        }
+        if !mined.is_empty() {
+            self.sample_capacity();
+        }
+    }
+
+    /// [`TaskIssuer::issue_batch`]'s recording pass: observes every task
+    /// into `run`, recognising the run so far whenever a mined batch must
+    /// ingest at its stream position. Leaves the tail of the call in `run`.
+    fn record_run(
         &mut self,
-        tasks: &mut Vec<TaskDesc>,
+        tasks: Vec<TaskDesc>,
         run: &mut Vec<(TaskDesc, TaskHash)>,
     ) -> Result<(), RuntimeError> {
-        for task in tasks.drain(..) {
-            let hash = task.semantic_hash();
-            self.issued += 1;
-            self.finder.record(hash);
-            self.enforce_finder_policy()?;
-            let mut ingested = false;
-            for batch in self.finder.poll_completed() {
-                // Everything buffered so far precedes the finder's
-                // completion position in the stream: it must go through
-                // the replayer before the batch ingests, or recognition
-                // decisions could shift relative to the reference path.
-                if !run.is_empty() {
-                    self.replayer.on_batch(run, &mut self.rt)?;
-                }
-                self.replayer.ingest(&batch);
-                ingested = true;
-            }
-            if ingested {
-                self.sample_capacity();
+        for task in tasks {
+            let (hash, mined) = self.observe(&task)?;
+            if !mined.is_empty() {
+                self.replayer.on_batch(run, &mut self.rt)?;
+                self.ingest_all(mined);
             }
             run.push((task, hash));
-        }
-        if !run.is_empty() {
-            self.replayer.on_batch(run, &mut self.rt)?;
         }
         Ok(())
     }
@@ -248,14 +243,8 @@ impl AutoTracer {
     /// Propagates runtime errors.
     pub fn flush(&mut self) -> Result<(), RuntimeError> {
         self.enforce_finder_policy()?;
-        let mut ingested = false;
-        for batch in self.finder.drain_blocking() {
-            self.replayer.ingest(&batch);
-            ingested = true;
-        }
-        if ingested {
-            self.sample_capacity();
-        }
+        let mined = self.finder.drain_blocking();
+        self.ingest_all(mined);
         self.replayer.flush(&mut self.rt)?;
         self.absorb_stats();
         Ok(())
@@ -406,44 +395,20 @@ impl TaskIssuer for AutoTracer {
         AutoTracer::execute_task(self, task)
     }
 
-    /// The batched hot path: each task is hashed and fed to the finder
-    /// exactly as in [`AutoTracer::execute_task`], but tasks accumulate in
-    /// a reusable scratch vector and reach the replayer through
-    /// [`TraceReplayer::on_batch`], which forwards contiguous untraceable
-    /// runs to the runtime as single
-    /// [`TraceSink::execute_batch`](crate::replayer::TraceSink::execute_batch)
-    /// calls. Mined batches still ingest at their deterministic stream
-    /// positions — the accumulated run is flushed through the replayer
-    /// first — so the operation log is bit-identical to task-at-a-time
-    /// issuance, and the runtime-stats delta and traced-window metrics are
-    /// folded in once per batch instead of once per task.
-    ///
-    /// Under [`Config::reference_pipeline`] every task takes the frozen
-    /// per-task path instead.
-    fn issue_batch(&mut self, mut tasks: Vec<TaskDesc>) -> Result<(), RuntimeError> {
-        if self.config.reference_pipeline {
-            let mut result = Ok(());
-            for task in tasks {
-                if let Err(e) = self.issue_one(task) {
-                    result = Err(e);
-                    break;
-                }
-            }
-            self.absorb_stats();
-            return result;
-        }
+    /// Issues a whole call's tasks with the same decisions as
+    /// [`AutoTracer::execute_task`] on each, in a different order of work:
+    /// every task is hashed and recorded *first*, so the call's tokens
+    /// reach the miner (and an asynchronous mining job starts) before
+    /// recognition begins, and the recorded run is recognised when a mined
+    /// batch is due — at its exact stream position — or at the end. The
+    /// stats fold runs once per call.
+    fn issue_batch(&mut self, tasks: Vec<TaskDesc>) -> Result<(), RuntimeError> {
         let mut run = std::mem::take(&mut self.batch_scratch);
-        run.clear();
-        let mut result = self.issue_batch_inner(&mut tasks, &mut run);
-        if result.is_err() && !run.is_empty() {
-            // The buffered tasks precede the failing issue in stream
-            // order, so they still reach the replayer — and an error
-            // forwarding them happened "first" and wins.
-            if let Err(e) = self.replayer.on_batch(&mut run, &mut self.rt) {
-                result = Err(e);
-            }
-        }
-        run.clear();
+        let recorded = self.record_run(tasks, &mut run);
+        // The recorded run precedes a failed issue in stream order, so it
+        // still reaches the replayer — and an error forwarding it happened
+        // "first" and wins.
+        let result = self.replayer.on_batch(&mut run, &mut self.rt).and(recorded);
         self.batch_scratch = run;
         self.absorb_stats();
         result

@@ -39,6 +39,12 @@
 //! Debug builds recompute every verdict by full scans and assert the two
 //! agree.
 //!
+//! [`TraceReplayer::on_task`] is the only recognition path —
+//! [`TraceReplayer::on_batch`] loops over it — and every forwarded task
+//! reaches the sink through [`TraceSink::execute_task`]. The
+//! pre-optimization step survives as a `#[cfg(test)]` reference
+//! implementation the proptests compare against.
+//!
 //! # Bounded memory
 //!
 //! With [`CapacityConfig`] limits set, the candidate store itself is
@@ -75,13 +81,12 @@ pub trait TraceSink {
     fn end_trace(&mut self, id: TraceId) -> Result<(), Self::Error>;
     /// Forwards a task launch.
     fn execute_task(&mut self, task: TaskDesc) -> Result<(), Self::Error>;
-    /// Forwards a contiguous run of untraced task launches in one call —
-    /// the batched sink path [`TraceReplayer::on_batch`] drives. Must be
-    /// observably equivalent to calling [`Self::execute_task`] on each
-    /// element in order, leaving the buffer empty on success; sinks with
-    /// per-call overhead (stat folds, pipeline pumping) override it to pay
-    /// that overhead once per run. On error, tasks already forwarded stay
-    /// forwarded and the rest are dropped with the drained buffer.
+    /// Forwards a run of task launches: [`Self::execute_task`] on each
+    /// element in order, leaving the buffer empty on success. Nothing in
+    /// this workspace calls it any more — the replayer forwards every task
+    /// through [`Self::execute_task`] — and it is kept, defaulted, only
+    /// for out-of-tree sinks (`benchmark/src/ladder.rs` implements it);
+    /// the next change to that package can drop both.
     ///
     /// # Errors
     ///
@@ -132,10 +137,6 @@ impl TraceSink for tasksim::runtime::Runtime {
 
     fn execute_task(&mut self, task: TaskDesc) -> Result<(), Self::Error> {
         tasksim::runtime::Runtime::execute_task(self, task).map(|_| ())
-    }
-
-    fn execute_batch(&mut self, tasks: &mut Vec<TaskDesc>) -> Result<(), Self::Error> {
-        tasksim::runtime::Runtime::execute_batch(self, tasks)
     }
 
     fn forget_trace(&mut self, id: TraceId) -> Result<(), Self::Error> {
@@ -257,9 +258,6 @@ pub struct TraceReplayer {
     /// Global index of the next arriving task.
     now: u64,
     stats: ReplayerStats,
-    /// `Config::reference_pipeline`: route through the frozen per-task
-    /// reference path instead of the fast paths.
-    reference: bool, // snapshot: derived (from Config)
     /// Minimum `start` over `completed` (`u64::MAX` when empty): with
     /// the cursor ordering invariant, all `decide` needs to prove a
     /// verdict blocked and to bound the flushable prefix.
@@ -269,15 +267,13 @@ pub struct TraceReplayer {
     /// `score_stamp`. Sized with `meta`, so scoring never allocates.
     scratch_scores: Vec<(u64, f64)>, // snapshot: derived
     score_stamp: u64, // snapshot: derived
-    /// Test oracle: route `decide` through the parent's full scans.
+    /// Test oracle: take the frozen pre-optimization step and route
+    /// `decide` through full scans.
     #[cfg(test)]
     naive_decide: bool, // snapshot: derived
     /// Double-buffer scratch swapped with `cursors` each step, so the
     /// steady states never allocate a survivor vector.
     scratch_cursors: Vec<Cursor>, // snapshot: derived
-    /// Reusable run buffer behind [`Self::on_batch`]'s contiguous
-    /// untraced forwarding.
-    run_buf: Vec<TaskDesc>, // snapshot: derived
     /// Reusable scratch collections for `enforce_capacity` (the hot
     /// ingest path must not rebuild them per call).
     scratch_pending: HashSet<u32>, // snapshot: derived
@@ -303,14 +299,12 @@ impl TraceReplayer {
             next_trace: 0,
             now: 0,
             stats: ReplayerStats::default(),
-            reference: config.reference_pipeline,
             min_completed_start: u64::MAX,
             scratch_scores: Vec::new(),
             score_stamp: 0,
             #[cfg(test)]
             naive_decide: false,
             scratch_cursors: Vec::new(),
-            run_buf: Vec::new(),
             scratch_pending: HashSet::new(),
             scratch_cursor_nodes: HashSet::new(),
             scratch_ranked: Vec::new(),
@@ -521,7 +515,8 @@ impl TraceReplayer {
     }
 
     /// Feeds one task through the recognizer, forwarding whatever is ready
-    /// to `sink`.
+    /// to `sink` — the one recognition path; [`Self::on_batch`] is a loop
+    /// over it.
     ///
     /// # Errors
     ///
@@ -532,7 +527,8 @@ impl TraceReplayer {
         hash: TaskHash,
         sink: &mut S,
     ) -> Result<(), S::Error> {
-        if self.reference {
+        #[cfg(test)]
+        if self.naive_decide {
             return self.on_task_reference(desc, hash, sink);
         }
         self.drain_retired(sink)?;
@@ -556,74 +552,20 @@ impl TraceReplayer {
         self.step(desc, hash, sink)
     }
 
-    /// Feeds a batch of tasks, forwarding maximal untraceable runs to the
-    /// sink as single [`TraceSink::execute_batch`] calls. Drains `tasks`;
-    /// the (now empty) vector keeps its capacity for the caller to refill.
-    ///
-    /// Event order, per-task stats, and the sink's op digest are
-    /// bit-identical to feeding every task through [`Self::on_task`].
+    /// Feeds a run of tasks through [`Self::on_task`], in order. Drains
+    /// `tasks`; the (now empty) vector keeps its capacity for the caller
+    /// to refill.
     ///
     /// # Errors
     ///
-    /// Propagates the first sink error. Tasks already counted in the
-    /// current untraceable run keep their stats even if the flushing
-    /// `execute_batch` fails — the engine aborts on sink errors, so the
-    /// torn counters are never observed by a successful run.
+    /// Propagates the first sink error; the tasks behind it are dropped
+    /// with the drained buffer.
     pub fn on_batch<S: TraceSink>(
         &mut self,
         tasks: &mut Vec<(TaskDesc, TaskHash)>,
         sink: &mut S,
     ) -> Result<(), S::Error> {
-        if self.reference {
-            for (desc, hash) in tasks.drain(..) {
-                self.on_task_reference(desc, hash, sink)?;
-            }
-            return Ok(());
-        }
-        // Retired trace ids only accumulate during ingest, which cannot
-        // happen mid-batch: one drain up front covers the whole batch.
-        self.drain_retired(sink)?;
-        let mut run = std::mem::take(&mut self.run_buf);
-        run.clear();
-        let result = self.on_batch_inner(tasks, &mut run, sink);
-        run.clear();
-        self.run_buf = run;
-        result
-    }
-
-    fn on_batch_inner<S: TraceSink>(
-        &mut self,
-        tasks: &mut Vec<(TaskDesc, TaskHash)>,
-        run: &mut Vec<TaskDesc>,
-        sink: &mut S,
-    ) -> Result<(), S::Error> {
-        for (desc, hash) in tasks.drain(..) {
-            // Same condition (and stats emulation) as the untraceable
-            // fast path in `on_task`, but the forward is deferred into
-            // `run` so contiguous untraceable tasks reach the sink as one
-            // `execute_batch` call.
-            if self.cursors.is_empty()
-                && self.completed.is_empty()
-                && self.pending.is_empty()
-                && !self.trie.can_start_with(hash)
-            {
-                self.now += 1;
-                self.stats.peak_pending_tasks = self.stats.peak_pending_tasks.max(1);
-                self.stats.forwarded_untraced += 1;
-                run.push(desc);
-                continue;
-            }
-            // Order matters: the buffered untraceable run precedes this
-            // task in the stream, so it must reach the sink first.
-            if !run.is_empty() {
-                sink.execute_batch(run)?;
-            }
-            self.step(desc, hash, sink)?;
-        }
-        if !run.is_empty() {
-            sink.execute_batch(run)?;
-        }
-        Ok(())
+        tasks.drain(..).try_for_each(|(desc, hash)| self.on_task(desc, hash, sink))
     }
 
     /// The cursor step, built around reusable scratch buffers: no
@@ -689,55 +631,6 @@ impl TraceReplayer {
             self.decide(sink)?;
         }
         Ok(())
-    }
-
-    /// The frozen per-task reference pipeline (see
-    /// [`Config::reference_pipeline`]): the pre-optimization recognizer
-    /// step, kept verbatim as the behavioral baseline the fast paths are
-    /// pinned against.
-    fn on_task_reference<S: TraceSink>(
-        &mut self,
-        desc: TaskDesc,
-        hash: TaskHash,
-        sink: &mut S,
-    ) -> Result<(), S::Error> {
-        self.drain_retired(sink)?;
-        let global = self.now;
-        self.now += 1;
-        self.pending.push_back(PendingTask { desc, global });
-        self.stats.peak_pending_tasks = self.stats.peak_pending_tasks.max(self.pending.len());
-
-        // Advance cursors (including a fresh one starting here).
-        let mut survivors = Vec::with_capacity(self.cursors.len() + 1);
-        let mut newly_completed = Vec::new();
-        let candidates_exist = !self.trie.is_empty();
-        let mut all = std::mem::take(&mut self.cursors);
-        if candidates_exist {
-            all.push(Cursor { node: Trie::<TaskHash>::ROOT, start: global });
-        }
-        for cur in all {
-            if let Some(next) = self.trie.step(cur.node, hash) {
-                if let Some(cand) = self.trie.terminal(next) {
-                    newly_completed.push(CompletedMatch {
-                        cand,
-                        start: cur.start,
-                        end: global + 1,
-                    });
-                    self.min_completed_start = self.min_completed_start.min(cur.start);
-                    let m = &mut self.meta[cand.0 as usize];
-                    m.count = m.count.saturating_add(1);
-                    m.last_seen = global + 1;
-                }
-                // Leaf cursors cannot extend further; drop them.
-                if !self.trie.is_leaf(next) {
-                    survivors.push(Cursor { node: next, start: cur.start });
-                }
-            }
-        }
-        self.cursors = survivors;
-        self.completed.extend(newly_completed);
-
-        self.decide(sink)
     }
 
     /// Flushes everything at end of stream: replays any eligible completed
@@ -1129,6 +1022,55 @@ impl TraceReplayer {
             self.replay(best, sink)?;
         }
         self.forward_untraced_before(self.keep_from_by_scan(), sink)
+    }
+
+    /// The frozen pre-optimization recognizer step, kept verbatim as the
+    /// reference implementation the proptests pin [`Self::on_task`]
+    /// against.
+    #[cfg(test)]
+    fn on_task_reference<S: TraceSink>(
+        &mut self,
+        desc: TaskDesc,
+        hash: TaskHash,
+        sink: &mut S,
+    ) -> Result<(), S::Error> {
+        self.drain_retired(sink)?;
+        let global = self.now;
+        self.now += 1;
+        self.pending.push_back(PendingTask { desc, global });
+        self.stats.peak_pending_tasks = self.stats.peak_pending_tasks.max(self.pending.len());
+
+        // Advance cursors (including a fresh one starting here).
+        let mut survivors = Vec::with_capacity(self.cursors.len() + 1);
+        let mut newly_completed = Vec::new();
+        let candidates_exist = !self.trie.is_empty();
+        let mut all = std::mem::take(&mut self.cursors);
+        if candidates_exist {
+            all.push(Cursor { node: Trie::<TaskHash>::ROOT, start: global });
+        }
+        for cur in all {
+            if let Some(next) = self.trie.step(cur.node, hash) {
+                if let Some(cand) = self.trie.terminal(next) {
+                    newly_completed.push(CompletedMatch {
+                        cand,
+                        start: cur.start,
+                        end: global + 1,
+                    });
+                    self.min_completed_start = self.min_completed_start.min(cur.start);
+                    let m = &mut self.meta[cand.0 as usize];
+                    m.count = m.count.saturating_add(1);
+                    m.last_seen = global + 1;
+                }
+                // Leaf cursors cannot extend further; drop them.
+                if !self.trie.is_leaf(next) {
+                    survivors.push(Cursor { node: next, start: cur.start });
+                }
+            }
+        }
+        self.cursors = survivors;
+        self.completed.extend(newly_completed);
+
+        self.decide(sink)
     }
 
     /// Forwards buffered tasks with a global index below `bound` untraced.

@@ -624,7 +624,7 @@ fn snapshot_envelope_digest_is_pinned() {
 /// The full-scan oracle: the frozen reference step plus `decide` by full
 /// scans — the complete pre-shortcut pipeline.
 fn oracle(config: &Config) -> TraceReplayer {
-    let mut r = TraceReplayer::new(&config.clone().with_reference_pipeline());
+    let mut r = TraceReplayer::new(config);
     r.naive_decide = true;
     r
 }

@@ -82,7 +82,6 @@ pub fn put_config(w: &mut SnapshotWriter, c: &Config) {
         FinderPolicy::FailStop => 1,
     });
     w.put_bool(c.gated_ingest);
-    w.put_bool(c.reference_pipeline);
 }
 
 /// Reads a [`Config`] written by [`put_config`].
@@ -139,7 +138,6 @@ pub fn get_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
         // Written (and therefore read) last: appended after the fields
         // above to keep their payload offsets stable.
         gated_ingest: r.get_bool()?,
-        reference_pipeline: r.get_bool()?,
     })
 }
 
@@ -167,7 +165,6 @@ mod tests {
         c.identifier = IdentifierAlgorithm::FixedBatch;
         c.repeats = RepeatsAlgorithm::Lzw;
         c.scoring.replay_bonus = 0.5;
-        c.reference_pipeline = true;
         let mut w = SnapshotWriter::new();
         put_config(&mut w, &c);
         let payload = w.into_payload();

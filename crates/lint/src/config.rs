@@ -16,8 +16,8 @@ pub struct LintConfig {
     /// Modules whose hash-map/set iteration order must not leak
     /// (D001): snapshot codecs, eviction paths, lock-step state.
     pub deterministic_modules: Vec<String>,
-    /// The recognize/replay hot path, where `unwrap`/`expect`/`panic!`
-    /// are forbidden (P001).
+    /// The recognize/replay hot path and the one sink it forwards into,
+    /// where `unwrap`/`expect`/`panic!` are forbidden (P001).
     pub hot_panic_modules: Vec<String>,
     /// Paths exempt from the ambient-state rule (D002): benchmarking
     /// code and the offline shims standing in for external crates.
@@ -40,6 +40,7 @@ impl LintConfig {
             hot_panic_modules: vec![
                 "crates/core/src/replayer.rs".into(),
                 "crates/core/src/engine.rs".into(),
+                "crates/tasksim/src/runtime.rs".into(),
                 "crates/substrings/src/trie.rs".into(),
                 FIXTURE_DIR.into(),
             ],
@@ -92,6 +93,8 @@ mod tests {
         assert!(!c.is_deterministic_module("crates/substrings/src/sais.rs"));
         assert!(c.is_hot_panic_module("crates/core/src/engine.rs"));
         assert!(c.is_hot_panic_module("crates/substrings/src/trie.rs"));
+        assert!(c.is_hot_panic_module("crates/tasksim/src/runtime.rs"));
+        assert!(!c.is_hot_panic_module("crates/tasksim/src/exec.rs"));
         assert!(c.ambient_applies("crates/serve/src/lib.rs"));
         assert!(!c.ambient_applies("crates/bench/src/experiments.rs"));
         assert!(!c.ambient_applies("crates/shims/criterion/src/lib.rs"));
@@ -106,6 +109,6 @@ mod tests {
         assert!(c.is_hot_panic_module(f));
         assert!(!LintConfig::is_test_context(f));
         assert!(LintConfig::is_test_context("tests/determinism.rs"));
-        assert!(LintConfig::is_test_context("crates/bench/benches/hot_path.rs"));
+        assert!(LintConfig::is_test_context("crates/bench/benches/launch_overhead.rs"));
     }
 }

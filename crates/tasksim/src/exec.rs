@@ -601,29 +601,8 @@ impl SimPipeline {
     /// that became unambiguous are committed immediately; the rest defer
     /// until their gates resolve or [`Self::finalize`].
     pub fn feed(&mut self, op: &LogOp) {
-        self.feed_push(op);
-        self.pump();
-    }
-
-    /// Enqueues one operation without driving the simulation — the cheap
-    /// half of [`Self::feed`], for batched producers that amortize one
-    /// [`Self::pump`] over many operations.
-    ///
-    /// Deferring the pump cannot change the final report: the commit
-    /// recurrences fold each op against state that only earlier ops
-    /// define, so draining them op-by-op or in one pass computes the same
-    /// timelines. Only the *residency* telemetry (`peak_retained`,
-    /// `peak_deferred`) coarsens to batch granularity — the transient
-    /// queue is sampled after the batch drains rather than after every op.
-    pub fn feed_push(&mut self, op: &LogOp) {
         self.fed += 1;
         self.pending.push_back(SimOp::of(op));
-    }
-
-    /// Drives the simulation over everything enqueued by
-    /// [`Self::feed_push`] and samples residency peaks — the second half
-    /// of [`Self::feed`].
-    pub fn pump(&mut self) {
         self.advance(false);
         self.trim();
     }

@@ -13,11 +13,14 @@
 //! * region management — [`create_region`](TaskIssuer::create_region),
 //!   [`partition`](TaskIssuer::partition),
 //!   [`destroy_region`](TaskIssuer::destroy_region);
-//! * task issuance — [`execute_task`](TaskIssuer::execute_task), plus the
-//!   batched hot path [`issue_batch`](TaskIssuer::issue_batch) that lets
-//!   layers amortize per-task bookkeeping (hashing, mining polls, metric
-//!   updates) over a whole batch while preserving program order and
-//!   per-task semantics bit-for-bit;
+//! * task issuance — [`execute_task`](TaskIssuer::execute_task), plus
+//!   [`issue_batch`](TaskIssuer::issue_batch), which hands a front-end a
+//!   whole call's tasks at once. Nothing observable may depend on which
+//!   of the two the application used — operation log, counters, residency
+//!   peaks and checkpoint bytes are equal — so a front-end overrides the
+//!   default loop only to reorder or fold its *own* per-call work (the
+//!   automatic tracer records the call's tokens before recognising them
+//!   and folds its metrics once); a bare [`Runtime`] takes the default;
 //! * manual trace brackets — [`begin_trace`](TaskIssuer::begin_trace) /
 //!   [`end_trace`](TaskIssuer::end_trace); automatic front-ends reject
 //!   them with [`RuntimeError::AnnotationUnderAuto`] (annotating *and*
@@ -112,10 +115,10 @@ pub trait TaskIssuer: Send {
     /// Issues a batch of tasks in order — the hot path for issuance-bound
     /// applications.
     ///
-    /// Semantically identical to calling
-    /// [`execute_task`](TaskIssuer::execute_task) once per task (the
-    /// operation log is bit-for-bit the same); implementations override it
-    /// to amortize per-call bookkeeping across the batch.
+    /// Observably identical to calling
+    /// [`execute_task`](TaskIssuer::execute_task) once per task (operation
+    /// log, counters, residency peaks and checkpoint bytes all agree);
+    /// implementations override it to fold per-call bookkeeping.
     ///
     /// # Errors
     ///
@@ -269,10 +272,6 @@ impl TaskIssuer for Runtime {
 
     fn execute_task(&mut self, task: TaskDesc) -> Result<(), RuntimeError> {
         Runtime::execute_task(self, task).map(|_| ())
-    }
-
-    fn issue_batch(&mut self, mut tasks: Vec<TaskDesc>) -> Result<(), RuntimeError> {
-        Runtime::execute_batch(self, &mut tasks)
     }
 
     fn begin_trace(&mut self, id: TraceId) -> Result<(), RuntimeError> {

@@ -321,12 +321,20 @@ impl Restore for TraceState {
                 }
                 Ok(TraceState::Recording { id, ops, hashes, preds, gpu_times })
             }
-            2 => Ok(TraceState::Replaying {
-                id: TraceId(r.get_u32()?),
-                pos: r.get_len()?,
-                ops: r.get_seq(|r| Ok(OpId(r.get_u64()?)))?,
-                head_task: r.get_u64()?,
-            }),
+            2 => {
+                let id = TraceId(r.get_u32()?);
+                let pos = r.get_len()?;
+                let ops = r.get_seq(|r| Ok(OpId(r.get_u64()?)))?;
+                // Memoized internal edges index `ops` by position: one op
+                // per task replayed so far, or the next replayed task
+                // reads past the end.
+                if ops.len() != pos {
+                    return Err(SnapshotError::Corrupt(
+                        "replayed ops disagree with the replay cursor".into(),
+                    ));
+                }
+                Ok(TraceState::Replaying { id, pos, ops, head_task: r.get_u64()? })
+            }
             3 => Ok(TraceState::Poisoned { id: TraceId(r.get_u32()?) }),
             t => Err(SnapshotError::Corrupt(format!("invalid trace-state tag {t}"))),
         }
@@ -352,11 +360,6 @@ pub struct Runtime {
     /// [`LogRetention::Drain`] (`None` under [`LogRetention::Full`], where
     /// the stored log is simulated in one batch pass at the end).
     pipeline: Option<SimPipeline>,
-    /// True only inside [`Self::execute_batch`]: [`Self::append`] then
-    /// enqueues into the pipeline without pumping it, and the batch loop
-    /// pumps once at the end. Never true at a task boundary, so it is
-    /// deliberately not serialized.
-    batching: bool, // snapshot: derived
     stats: RuntimeStats,
 }
 
@@ -373,7 +376,6 @@ impl Runtime {
             state: TraceState::Idle,
             log: OpLog::new(config),
             pipeline,
-            batching: false,
             stats: RuntimeStats::default(),
         }
     }
@@ -550,36 +552,17 @@ impl Runtime {
         Ok(op)
     }
 
-    /// Issues a batch of tasks, pumping the attached [`SimPipeline`] (if
-    /// any) once at the end instead of after every task. Drains `tasks`;
-    /// the (now empty) vector keeps its capacity for the caller to refill.
-    ///
-    /// The final [`SimReport`](crate::sim::SimReport), the runtime stats,
-    /// and the op digest are bit-identical to issuing every task through
-    /// [`Self::execute_task`]: the log is still fed per-op, and the
-    /// pipeline's commit recurrences are insensitive to pump placement
-    /// (see [`SimPipeline::feed_push`]). Only the pipeline's transient
-    /// residency peaks coarsen to batch granularity.
+    /// Issues a run of tasks: [`Self::execute_task`] on each, in order.
+    /// Drains `tasks`; the (now empty) vector keeps its capacity for the
+    /// caller to refill. Nothing in this workspace calls it — it stays
+    /// because `benchmark/src/ladder.rs` does.
     ///
     /// # Errors
     ///
-    /// Stops at (and returns) the first task error; the pipeline is
-    /// pumped before returning so it never holds unprocessed operations
-    /// across the call.
+    /// Stops at (and returns) the first task error; the tasks behind it
+    /// are dropped with the drained buffer.
     pub fn execute_batch(&mut self, tasks: &mut Vec<TaskDesc>) -> Result<(), RuntimeError> {
-        self.batching = true;
-        let mut result = Ok(());
-        for task in tasks.drain(..) {
-            if let Err(e) = self.execute_task(task) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.batching = false;
-        if let Some(pipeline) = &mut self.pipeline {
-            pipeline.pump();
-        }
-        result
+        tasks.drain(..).try_for_each(|task| self.execute_task(task).map(|_| ()))
     }
 
     /// Starts a trace: records a template on first use of `id`, replays it
@@ -668,9 +651,13 @@ impl Runtime {
                         }
                     }
                 } else {
-                    let t = self.templates.get_mut(&id).expect("active template");
-                    t.replays += 1;
-                    t.last_used = self.stats.tasks_total;
+                    // Total: `len` was just read off this entry.
+                    let t = self.templates.get_mut(&id);
+                    debug_assert!(t.is_some(), "active template vanished mid-replay");
+                    if let Some(t) = t {
+                        t.replays += 1;
+                        t.last_used = self.stats.tasks_total;
+                    }
                     self.stats.trace_replays += 1;
                     Ok(())
                 }
@@ -710,17 +697,9 @@ impl Runtime {
     /// Routes one operation per the retention policy: into the attached
     /// pipeline under [`LogRetention::Drain`] (the log still counts and
     /// digests it), stored in the log under [`LogRetention::Full`].
-    ///
-    /// Inside [`Self::execute_batch`] the pipeline pump is deferred to
-    /// the end of the batch; the log is always fed per-op, so the op
-    /// digest is untouched by batching.
     fn append(&mut self, op: LogOp) {
         if let Some(pipeline) = &mut self.pipeline {
-            if self.batching {
-                pipeline.feed_push(&op);
-            } else {
-                pipeline.feed(&op);
-            }
+            pipeline.feed(&op);
         }
         self.log.push(op);
     }
@@ -1019,18 +998,7 @@ impl Runtime {
                 return Err(SnapshotError::Corrupt("replay cursor past its template".into()));
             }
         }
-        Ok(Self {
-            config,
-            forest,
-            analyzer,
-            templates,
-            score_hints,
-            state,
-            log,
-            pipeline,
-            batching: false,
-            stats,
-        })
+        Ok(Self { config, forest, analyzer, templates, score_hints, state, log, pipeline, stats })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1462,6 +1430,20 @@ mod tests {
                 "cut {cut}: {err}"
             );
         }
+        // A replay in flight whose op list is shorter than its cursor:
+        // the next task's memoized edge `0 → 1` would index `ops[0]`.
+        rt.begin_trace(TraceId(0)).unwrap();
+        rt.execute_task(step_task(a, b)).unwrap();
+        rt.execute_task(step_task(b, a)).unwrap();
+        rt.end_trace(TraceId(0)).unwrap();
+        rt.begin_trace(TraceId(0)).unwrap();
+        rt.execute_task(step_task(a, b)).unwrap();
+        let TraceState::Replaying { ops, .. } = &mut rt.state else { panic!("mid-replay") };
+        ops.clear();
+        let mut w = SnapshotWriter::new();
+        rt.write_snapshot(&mut w);
+        let err = Runtime::restore_snapshot(&mut SnapshotReader::new(&w.into_payload()));
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{:?}", err.map(|_| ()));
     }
 
     #[test]

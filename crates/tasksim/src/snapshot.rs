@@ -49,7 +49,9 @@ pub const MAGIC: [u8; 4] = *b"APSN";
 /// `max_template_bytes`, `RuntimeConfig::max_template_bytes`).
 /// v3: the reference-pipeline selector joined the serialized
 /// configuration (`Config::reference_pipeline`).
-pub const FORMAT_VERSION: u32 = 3;
+/// v4: that selector left it again — the reference pipeline is a
+/// test-only oracle now, not a configuration.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Front-end tag: a bare [`crate::runtime::Runtime`] (untraced or
 /// manually annotated).

@@ -248,13 +248,17 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
     retagged[8] = snap::FRONT_END_RUNTIME;
     assert_eq!(expect_snapshot_err(&retagged), SnapshotError::DigestMismatch);
 
-    // Bad magic and future versions are typed.
+    // Bad magic, future versions and the previous version (v3 payloads
+    // carry one more configuration byte) are typed.
     let mut bad_magic = bytes.clone();
     bad_magic[0] = b'Z';
     assert_eq!(expect_snapshot_err(&bad_magic), SnapshotError::BadMagic);
     let mut future = bytes.clone();
     future[4] = 0x7f;
     assert!(matches!(expect_snapshot_err(&future), SnapshotError::UnsupportedVersion(_)));
+    let mut previous = bytes.clone();
+    previous[4] = 3;
+    assert_eq!(expect_snapshot_err(&previous), SnapshotError::UnsupportedVersion(3));
 
     // A well-formed envelope with an unknown front-end tag.
     let mut unknown = Vec::new();

@@ -11,7 +11,8 @@
 //! * **Batch/single equivalence** — `issue_batch` is semantically
 //!   identical to task-at-a-time `execute_task`: the operation logs are
 //!   bit-for-bit equal (same records, same analysis kinds, same edges,
-//!   same gates), not merely the same hash sequence.
+//!   same gates), not merely the same hash sequence — and so are the
+//!   residency peaks and the checkpoint bytes of a drained run.
 //! * **Streaming/batch equivalence** — `LogRetention::Drain` (ops fed
 //!   incrementally through `SimPipeline` and dropped) produces a
 //!   `SimReport` bit-identical to `LogRetention::Full` (ops accumulated,
@@ -22,7 +23,8 @@ use apophenia::{Config, DelayModel, Session, Tracing};
 use tasksim::cost::Micros;
 use tasksim::exec::{simulate, LogOp, LogRetention, OpLog, SimReport};
 use tasksim::ids::{TaskKindId, TraceId};
-use tasksim::issuer::{RunArtifacts, TaskIssuer};
+use tasksim::issuer::TaskIssuer;
+use tasksim::stats::RuntimeStats;
 use tasksim::task::{TaskDesc, TaskHash};
 
 const ITERS: usize = 200;
@@ -44,15 +46,9 @@ fn all_tracings() -> Vec<Tracing> {
     ]
 }
 
-/// The two automatically traced front-ends, either on the optimized hot
-/// paths (default) or on the frozen per-task reference pipeline
-/// (`Config::reference_pipeline`) the hot paths are pinned against.
-fn auto_tracings(reference: bool) -> Vec<Tracing> {
-    let cfg = if reference { small_auto().with_reference_pipeline() } else { small_auto() };
-    vec![
-        Tracing::Auto(cfg.clone()),
-        Tracing::Distributed { config: cfg, delay: DelayModel::new(2024, 25), initial_interval: 8 },
-    ]
+/// The two automatically traced front-ends.
+fn auto_tracings() -> Vec<Tracing> {
+    all_tracings().split_off(2)
 }
 
 /// An S3D-shaped loop (fixed 8-task body, a partition-projected task
@@ -162,54 +158,103 @@ fn issue_batch_is_bit_identical_to_single_issue() {
     }
 }
 
-fn run_artifacts(tracing: Tracing, batched: bool, retention: LogRetention) -> RunArtifacts {
-    let manual = tracing.is_manual();
-    let mut issuer = build(tracing, retention);
-    drive(issuer.as_mut(), manual, batched);
-    issuer.finish().unwrap()
-}
+/// What the frozen per-task reference pipeline (the pre-optimization
+/// recognizer step, `Config::with_reference_pipeline()` until it left
+/// production) made of [`drive`] on the two automatic front-ends, recorded
+/// at the last commit that shipped it: op digest, `SimReport::total` bits,
+/// final counters. The step itself lives on as the replayer's test oracle.
+const REFERENCE_VERDICT: [(u64, u64, RuntimeStats); 2] = [
+    (
+        0x0fe7_1be1_5dc0_8894,
+        0x4129_802d_bd70_a3d2,
+        RuntimeStats {
+            tasks_total: 1840,
+            tasks_fresh: 263,
+            tasks_recorded: 143,
+            tasks_replayed: 1434,
+            traces_recorded: 5,
+            trace_replays: 72,
+            mismatches: 0,
+            iterations: 200,
+            templates_evicted: 0,
+            peak_templates: 5,
+            template_bytes: 8408,
+            peak_template_bytes: 8408,
+        },
+    ),
+    (
+        0x3fe8_b676_acab_c25c,
+        0x4129_fcee_3851_eb7c,
+        RuntimeStats {
+            tasks_total: 1840,
+            tasks_fresh: 275,
+            tasks_recorded: 143,
+            tasks_replayed: 1422,
+            traces_recorded: 5,
+            trace_replays: 74,
+            mismatches: 0,
+            iterations: 200,
+            templates_evicted: 0,
+            peak_templates: 5,
+            template_bytes: 8408,
+            peak_template_bytes: 8408,
+        },
+    ),
+];
 
 #[test]
 fn fast_paths_match_the_frozen_reference_pipeline() {
     // The recognize/replay hot paths (untraceable short-circuit, O(1)
-    // deferral verdicts, batched forwarding, deferred pipeline pump) must
-    // be invisible: against the frozen per-task reference pipeline, the
-    // operation log is bit-for-bit identical and every counter agrees —
-    // per-task and batched, stored (Full) and streaming (Drain).
-    for (fast, reference) in auto_tracings(false).into_iter().zip(auto_tracings(true)) {
-        let label = fast.label();
-        let reference = run_artifacts(reference, false, LogRetention::Full);
+    // deferral verdicts) must be invisible: per-task and batched, stored
+    // (Full) and streaming (Drain), every run lands on the operation
+    // stream, clock and counters the reference pipeline produced.
+    for (tracing, verdict) in auto_tracings().into_iter().zip(REFERENCE_VERDICT) {
+        let label = tracing.label();
         for batched in [false, true] {
-            let got = run_artifacts(fast.clone(), batched, LogRetention::Full);
-            assert_eq!(
-                reference.log().ops(),
-                got.log().ops(),
-                "{label} batched={batched}: op log diverged from the reference pipeline"
-            );
-            assert_eq!(reference.stats, got.stats, "{label} batched={batched}");
-            assert_eq!(reference.report, got.report, "{label} batched={batched}");
-            let drained = run_artifacts(fast.clone(), batched, LogRetention::Drain);
-            assert_eq!(reference.report, drained.report, "{label} batched={batched} drained");
-            assert_eq!(reference.stats, drained.stats, "{label} batched={batched} drained");
+            for retention in [LogRetention::Full, LogRetention::Drain] {
+                let mut issuer = build(tracing.clone(), retention);
+                drive(issuer.as_mut(), false, batched);
+                let digest = issuer.op_digest();
+                let got = issuer.finish().unwrap();
+                assert_eq!(
+                    (digest, got.report.total.0.to_bits(), got.stats),
+                    verdict,
+                    "{label} batched={batched} {retention:?}"
+                );
+            }
         }
+    }
+}
+
+#[test]
+fn issue_granularity_is_unobservable_when_drained() {
+    // Equal streams are observably equal: issued a task or a batch at a
+    // time, a drained run ends on the same residency counters — peaks
+    // included — and writes the same checkpoint, byte for byte.
+    for tracing in all_tracings() {
+        let label = tracing.label();
+        let observe = |batched: bool| {
+            let mut issuer = build(tracing.clone(), LogRetention::Drain);
+            drive(issuer.as_mut(), tracing.is_manual(), batched);
+            let mut image = Vec::new();
+            issuer.checkpoint(&mut image).unwrap();
+            let seen =
+                (issuer.log_stats(), issuer.buffered_ops(), issuer.stats(), issuer.op_digest());
+            (seen, image)
+        };
+        let ((single, single_image), (batched, batched_image)) = (observe(false), observe(true));
+        assert_eq!(single, batched, "{label}");
+        assert!(single_image == batched_image, "{label}: checkpoint bytes differ");
     }
 }
 
 #[test]
 fn auto_front_ends_actually_traced() {
     // Guard against the parity above passing vacuously (nothing traced).
-    for tracing in [
-        Tracing::Auto(small_auto()),
-        Tracing::Distributed {
-            config: small_auto(),
-            delay: DelayModel::new(2024, 25),
-            initial_interval: 8,
-        },
-    ] {
+    for tracing in auto_tracings() {
         let label = tracing.label();
-        let manual = tracing.is_manual();
-        let mut issuer = Session::builder().nodes(2).gpus_per_node(2).tracing(tracing).build();
-        drive(issuer.as_mut(), manual, true);
+        let mut issuer = build(tracing, LogRetention::Full);
+        drive(issuer.as_mut(), false, true);
         let stats = issuer.stats();
         assert!(stats.tasks_replayed > 0, "{label}: {stats}");
         assert_eq!(stats.mismatches, 0, "{label}: {stats}");
@@ -327,7 +372,7 @@ mod proptests {
     /// between a repeated loop body (traceable), a rotating task, a
     /// unique task, and an iteration mark. Manual mode brackets the loop
     /// body only.
-    fn drive_random(issuer: &mut dyn TaskIssuer, spec: &[(u8, u8)], manual: bool) {
+    fn drive_random(issuer: &mut dyn TaskIssuer, spec: &[(u8, u8)], manual: bool, batched: bool) {
         let a = issuer.create_region(1);
         let b = issuer.create_region(1);
         for (i, &(step, gpu)) in spec.iter().enumerate() {
@@ -339,16 +384,17 @@ mod proptests {
                     if manual {
                         issuer.begin_trace(TraceId(variant)).unwrap();
                     }
-                    for k in 0..4u32 {
+                    let body = (0..4u32).map(|k| {
                         let (src, dst) = if k % 2 == 0 { (a, b) } else { (b, a) };
-                        issuer
-                            .execute_task(
-                                TaskDesc::new(TaskKindId(10 * variant + k))
-                                    .reads(src)
-                                    .read_writes(dst)
-                                    .gpu_time(Micros(f64::from(gpu) + 10.0)),
-                            )
-                            .unwrap();
+                        TaskDesc::new(TaskKindId(10 * variant + k))
+                            .reads(src)
+                            .read_writes(dst)
+                            .gpu_time(Micros(f64::from(gpu) + 10.0))
+                    });
+                    if batched {
+                        issuer.issue_batch(body.collect()).unwrap();
+                    } else {
+                        body.for_each(|t| issuer.execute_task(t).unwrap());
                     }
                     if manual {
                         issuer.end_trace(TraceId(variant)).unwrap();
@@ -377,7 +423,7 @@ mod proptests {
     ) -> (SimReport, Option<OpLog>) {
         let manual = tracing.is_manual();
         let mut issuer = build(tracing, retention);
-        drive_random(issuer.as_mut(), spec, manual);
+        drive_random(issuer.as_mut(), spec, manual, false);
         let artifacts = issuer.finish().unwrap();
         (artifacts.report, artifacts.log)
     }
@@ -417,27 +463,28 @@ mod proptests {
             }
         }
 
-        /// The optimized hot paths reproduce the frozen reference
-        /// pipeline bit-for-bit across random program shapes: same
-        /// operation log, same report, for both auto front-ends.
+        /// Batched issue reproduces per-task issue bit-for-bit across
+        /// random program shapes: same operation log, same report, for
+        /// all four front-ends.
         #[test]
-        fn fast_paths_equal_reference_on_random_streams(
+        fn batched_issue_equals_per_task_on_random_streams(
             spec in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..120),
         ) {
-            for (fast, reference) in
-                auto_tracings(false).into_iter().zip(auto_tracings(true))
-            {
-                let label = fast.label();
-                let (ref_report, ref_log) =
-                    report_of(reference, LogRetention::Full, &spec);
-                let (fast_report, fast_log) =
-                    report_of(fast, LogRetention::Full, &spec);
+            for tracing in all_tracings() {
+                let label = tracing.label();
+                let manual = tracing.is_manual();
+                let run = |batched: bool| {
+                    let mut issuer = build(tracing.clone(), LogRetention::Full);
+                    drive_random(issuer.as_mut(), &spec, manual, batched);
+                    issuer.finish().unwrap()
+                };
+                let (single, batched) = (run(false), run(true));
                 prop_assert_eq!(
-                    ref_log.as_ref().expect("full retention").ops(),
-                    fast_log.as_ref().expect("full retention").ops(),
-                    "{}: op log diverged from the reference pipeline", label
+                    single.log().ops(),
+                    batched.log().ops(),
+                    "{}: batched issue changed the operation log", label
                 );
-                prop_assert_eq!(&ref_report, &fast_report, "{}", label);
+                prop_assert_eq!(&single.report, &batched.report, "{}", label);
             }
         }
     }
