@@ -246,11 +246,6 @@ pub struct Config {
     pub scoring: ScoringConfig,
     /// Memory bounds on the candidate trie (unbounded by default).
     pub capacity: CapacityConfig,
-    /// Consult winnowing fingerprints before each mining job and skip the
-    /// job when the slice provably contains no repeat of at least the
-    /// minimum trace length (an optimization beyond the paper, off by
-    /// default; see `substrings::winnow`).
-    pub winnow_prefilter: bool,
     /// What a mining-pipeline failure does to the engine (degrade
     /// untraced by default; see [`FinderPolicy`]).
     pub finder_policy: FinderPolicy,
@@ -273,7 +268,6 @@ impl Config {
             suffix_backend: SuffixBackend::default(),
             scoring: ScoringConfig::default(),
             capacity: CapacityConfig::default(),
-            winnow_prefilter: false,
             finder_policy: FinderPolicy::default(),
         }
     }
@@ -326,12 +320,6 @@ impl Config {
     /// Selects the suffix-array construction backend.
     pub fn with_suffix_backend(mut self, backend: SuffixBackend) -> Self {
         self.suffix_backend = backend;
-        self
-    }
-
-    /// Enables the winnowing pre-filter.
-    pub fn with_winnow_prefilter(mut self) -> Self {
-        self.winnow_prefilter = true;
         self
     }
 

@@ -10,10 +10,37 @@
 //! finish out of order are reassembled before release), and the caller
 //! decides *when* to ingest them (the §5.1 distributed-agreement hook).
 //!
-//! The per-job hot path is allocation-lean: job token buffers are
-//! recycled through a return channel once a worker finishes with them,
-//! and the history slice is copied out of the ring buffer slice-wise
-//! (`VecDeque::as_slices`) rather than element by element.
+//! The per-job hot path allocates only what it returns: job token
+//! buffers are recycled through a return channel once a worker finishes
+//! with them, the history slice is copied out of the ring buffer
+//! slice-wise (`VecDeque::as_slices`) rather than element by element,
+//! and Algorithm 2 runs in a reusable
+//! [`MiningScratch`](substrings::repeats::MiningScratch) — so a job over
+//! a slice that holds no repeat (the kernel proves that from the count
+//! of distinct tokens, or from the LCP array) allocates nothing at all.
+//!
+//! # Mining workspaces
+//!
+//! Whoever runs mining jobs owns one workspace: a synchronous finder
+//! holds its own, and each [`MiningPool`] worker thread holds one — per
+//! worker, not per tenant, so a fleet sharing a pool shares its
+//! workspaces too. A workspace carries nothing from one job to the next,
+//! which makes it derived state: it is never written to a snapshot, a
+//! restored finder starts with an empty one that sizes itself on the
+//! first job (so does the finder that wrote the snapshot: it releases
+//! its workspace at the cut), and a worker that catches a panic mid-job
+//! drops its workspace and starts a fresh one.
+//!
+//! The persistent workspace serves jobs of up to twice the sampling
+//! granularity — three jobs in four under ruler sampling — and grows to
+//! the largest of those, never shrinking. A longer slice is mined in a
+//! workspace of its own that is freed with the job: a dozen allocations
+//! are nothing beside mining thousands of tokens, whereas a workspace
+//! kept at [`Config::batch_size`] would sit on ≈ 80 bytes per token in
+//! every session for the sake of one job in eight (measured on the
+//! application streams: a resident 5 000-token workspace raised a small
+//! session's peak heap by a tenth; mining every job in a fresh one cost
+//! 2 % of the issue path).
 //!
 //! # Shared worker pools
 //!
@@ -36,9 +63,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use substrings::lzw::lzw_parse;
-use substrings::repeats::find_repeats_min_len_with;
+use substrings::repeats::{find_repeats_into, MiningScratch};
 use substrings::tandem::select_tandem_repeats;
-use substrings::winnow::{has_repetition_evidence, WinnowConfig};
 use substrings::SuffixBackend;
 use tasksim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tasksim::task::TaskHash;
@@ -112,13 +138,16 @@ struct Job {
     min_len: usize,
     algo: RepeatsAlgorithm,
     backend: SuffixBackend,
+    /// Short enough for the miner's persistent workspace (see the module
+    /// docs); otherwise mined in a workspace freed with the job.
+    resident: bool,
     /// Test hook: makes the worker's `run_job` panic, exercising the
     /// panic-containment path.
     #[cfg(test)]
     poison: bool,
 }
 
-fn run_job(job: &Job) -> MinedBatch {
+fn run_job(job: &Job, scratch: &mut MiningScratch) -> MinedBatch {
     #[cfg(test)]
     if job.poison {
         panic!("poisoned mining job {}", job.id);
@@ -133,7 +162,9 @@ fn run_job(job: &Job) -> MinedBatch {
     };
     let candidates = match job.algo {
         RepeatsAlgorithm::QuickMatching => {
-            find_repeats_min_len_with(tokens, job.min_len, job.backend)
+            let mut transient = MiningScratch::default();
+            let scratch = if job.resident { scratch } else { &mut transient };
+            find_repeats_into(scratch, tokens, job.min_len, job.backend)
                 .into_iter()
                 .map(|r| MinedCandidate {
                     content: r.content,
@@ -240,6 +271,7 @@ impl MiningPool {
         let workers = (0..threads)
             .map(|_| {
                 let job_rx = Arc::clone(&job_rx);
+                let mut scratch = MiningScratch::default();
                 std::thread::spawn(move || loop {
                     // Hold the lock only while waiting for a job; mining
                     // runs unlocked so workers overlap.
@@ -250,14 +282,17 @@ impl MiningPool {
                     let Ok(PoolJob { job, res_tx, recycle_tx, panic_tx }) = pj else { break };
                     // A panicking miner must not deadlock the submitter's
                     // reorder buffer: answer the job with an empty batch,
-                    // report the panic, keep serving.
+                    // report the panic, keep serving — on a fresh
+                    // workspace, the old one having been abandoned mid-job.
                     let slice_end = job.global_start + job.tokens.len() as u64;
-                    let batch =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(&job)))
-                            .unwrap_or_else(|_| {
-                                let _ = panic_tx.send(job.id);
-                                MinedBatch { job: job.id, candidates: Vec::new(), slice_end }
-                            });
+                    let mined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_job(&job, &mut scratch)
+                    }));
+                    let batch = mined.unwrap_or_else(|_| {
+                        scratch = MiningScratch::default();
+                        let _ = panic_tx.send(job.id);
+                        MinedBatch { job: job.id, candidates: Vec::new(), slice_end }
+                    });
                     let _ = recycle_tx.send(job.tokens);
                     // The submitting finder may already be gone; other
                     // finders' jobs keep flowing regardless.
@@ -297,6 +332,10 @@ impl MiningPool {
 enum Miner {
     Sync {
         done: VecDeque<MinedBatch>,
+        /// The inline miner's workspace.
+        // snapshot: derived — holds nothing between jobs; a restored
+        // finder's empty one sizes itself on its first job
+        scratch: MiningScratch,
     },
     Pool {
         /// Handle to the (possibly shared) worker pool.
@@ -332,6 +371,12 @@ enum Miner {
     },
 }
 
+impl Miner {
+    fn sync() -> Self {
+        Self::Sync { done: VecDeque::new(), scratch: MiningScratch::default() }
+    }
+}
+
 /// The trace finder: rolling history buffer plus mining pipeline.
 pub struct TraceFinder {
     buffer: VecDeque<TaskHash>,
@@ -345,6 +390,8 @@ pub struct TraceFinder {
     identifier: IdentifierAlgorithm, // snapshot: derived (from Config)
     algo: RepeatsAlgorithm,          // snapshot: derived (from Config)
     backend: SuffixBackend,          // snapshot: derived (from Config)
+    /// Longest slice mined in a persistent workspace.
+    resident_len: usize, // snapshot: derived (from Config)
     /// Recycled job token buffers awaiting reuse.
     // snapshot: derived — a recycling pool; fresh buffers are equivalent
     spare: Vec<Vec<TaskHash>>,
@@ -352,12 +399,8 @@ pub struct TraceFinder {
     /// (plus the one being built), buffers past that can never be handed
     /// out before another returns, so hoarding them is pure bloat.
     spare_cap: usize, // snapshot: derived (from Config)
-    /// Winnowing pre-filter parameters, when enabled.
-    prefilter: Option<WinnowConfig>, // snapshot: derived (from Config)
     /// Total analyses submitted (exposed for overhead accounting).
     pub jobs_submitted: u64,
-    /// Analyses skipped by the winnowing pre-filter.
-    pub jobs_prefiltered: u64,
     /// Test hook: poison the next submitted job so its worker panics.
     #[cfg(test)]
     pub(crate) poison_next: bool,
@@ -379,7 +422,7 @@ impl TraceFinder {
     /// multi-tenant host shares one pool via [`Self::with_pool`] instead.
     pub fn new(config: &Config) -> Self {
         match config.mining {
-            MiningMode::Sync => Self::build(config, Miner::Sync { done: VecDeque::new() }),
+            MiningMode::Sync => Self::build(config, Miner::sync()),
             MiningMode::Async => {
                 Self::with_pool(config, &MiningPool::new(config.mining_threads.max(1)))
             }
@@ -393,7 +436,7 @@ impl TraceFinder {
     /// With [`MiningMode::Sync`] the pool is unused (mining runs inline).
     pub fn with_pool(config: &Config, pool: &MiningPool) -> Self {
         let miner = match config.mining {
-            MiningMode::Sync => Miner::Sync { done: VecDeque::new() },
+            MiningMode::Sync => Miner::sync(),
             MiningMode::Async => {
                 let (res_tx, rx) = channel::<MinedBatch>();
                 let (recycle_tx, recycle_rx) = channel::<Vec<TaskHash>>();
@@ -434,18 +477,10 @@ impl TraceFinder {
             identifier: config.identifier,
             algo: config.repeats,
             backend: config.suffix_backend,
+            resident_len: 2 * config.multi_scale_factor,
             spare: Vec::new(),
             spare_cap: config.mining_threads.max(1) + 1,
-            prefilter: config.winnow_prefilter.then(|| {
-                // Tune the winnowing guarantee to the minimum trace length:
-                // a slice with no duplicate fingerprints provably has no
-                // repeat ≥ min_trace_length, so mining it is pointless.
-                let k = 8.min(config.min_trace_length.max(2));
-                let w = (config.min_trace_length + 1).saturating_sub(k).max(1);
-                WinnowConfig { k, w }
-            }),
             jobs_submitted: 0,
-            jobs_prefiltered: 0,
             #[cfg(test)]
             poison_next: false,
         }
@@ -467,11 +502,13 @@ impl TraceFinder {
 
     /// Records one arriving token; may submit a mining job.
     pub fn record(&mut self, h: TaskHash) {
-        self.buffer.push_back(h);
-        if self.buffer.len() > self.batch_size {
+        // Make room first: pushing into the full ring would double its
+        // allocation for the sake of one slot.
+        if self.buffer.len() >= self.batch_size.max(1) {
             self.buffer.pop_front();
             self.buffer_start += 1;
         }
+        self.buffer.push_back(h);
         match self.identifier {
             IdentifierAlgorithm::MultiScale => {
                 if let Some(suffix_len) = self.sampler.on_arrival() {
@@ -533,13 +570,6 @@ impl TraceFinder {
         } else {
             tokens.extend_from_slice(&tail[from - head.len()..]);
         }
-        if let Some(cfg) = self.prefilter {
-            if !has_repetition_evidence(&tokens, cfg) {
-                self.jobs_prefiltered += 1;
-                self.stash_spare(tokens);
-                return; // Provably nothing long enough to trace.
-            }
-        }
         let job = Job {
             id: self.next_job,
             tokens,
@@ -547,14 +577,15 @@ impl TraceFinder {
             min_len: self.min_len,
             algo: self.algo,
             backend: self.backend,
+            resident: self.buffer.len() - from <= self.resident_len,
             #[cfg(test)]
             poison: std::mem::take(&mut self.poison_next),
         };
         self.next_job += 1;
         self.jobs_submitted += 1;
         match &mut self.miner {
-            Miner::Sync { done } => {
-                done.push_back(run_job(&job));
+            Miner::Sync { done, scratch } => {
+                done.push_back(run_job(&job, scratch));
                 self.stash_spare(job.tokens);
             }
             Miner::Pool { pool, res_tx, recycle_tx, panic_tx, in_flight, lost_jobs, .. } => {
@@ -598,7 +629,7 @@ impl TraceFinder {
     /// rather than withheld forever.
     pub fn poll_completed(&mut self) -> Vec<MinedBatch> {
         match &mut self.miner {
-            Miner::Sync { done } => done.drain(..).collect(),
+            Miner::Sync { done, .. } => done.drain(..).collect(),
             Miner::Pool {
                 rx,
                 panic_rx,
@@ -698,7 +729,7 @@ impl TraceFinder {
     pub fn drain_blocking(&mut self) -> Vec<MinedBatch> {
         self.quiesce();
         match &mut self.miner {
-            Miner::Sync { done } => done.drain(..).collect(),
+            Miner::Sync { done, .. } => done.drain(..).collect(),
             Miner::Pool { ready, .. } => ready.drain(..).collect(),
         }
     }
@@ -734,7 +765,7 @@ impl TraceFinder {
     /// Number of jobs submitted but not yet polled.
     pub fn in_flight(&self) -> usize {
         match &self.miner {
-            Miner::Sync { done } => done.len(),
+            Miner::Sync { done, .. } => done.len(),
             Miner::Pool { in_flight, pending, ready, .. } => {
                 *in_flight + pending.len() + ready.len()
             }
@@ -758,16 +789,22 @@ impl TraceFinder {
     /// is a pure observation and the continuation is bit-identical.
     pub fn write_snapshot(&mut self, w: &mut SnapshotWriter) {
         self.quiesce();
+        // A cut is the process's memory high-water mark (the image is
+        // being assembled next to everything it describes), and the
+        // restored side starts without a workspace anyway: release ours,
+        // so both sides of the cut regrow one on their next job.
+        if let Miner::Sync { scratch, .. } = &mut self.miner {
+            *scratch = MiningScratch::default();
+        }
         w.put_deque(&self.buffer, |w, h| w.put_u64(h.0));
         w.put_u64(self.buffer_start);
         w.put_u64(self.sampler.arrivals());
         w.put_u64(self.sampler.firings());
         w.put_u64(self.next_job);
         w.put_u64(self.jobs_submitted);
-        w.put_u64(self.jobs_prefiltered);
         let (completed, lost_jobs, first_panic): (Vec<&MinedBatch>, usize, Option<u64>) =
             match &self.miner {
-                Miner::Sync { done } => (done.iter().collect(), 0, None),
+                Miner::Sync { done, .. } => (done.iter().collect(), 0, None),
                 Miner::Pool { ready, lost_jobs, first_panic, .. } => {
                     (ready.iter().collect(), *lost_jobs, *first_panic)
                 }
@@ -799,12 +836,11 @@ impl TraceFinder {
         f.sampler.restore_counts(arrivals, firings);
         f.next_job = r.get_u64()?;
         f.jobs_submitted = r.get_u64()?;
-        f.jobs_prefiltered = r.get_u64()?;
         let completed = r.get_seq(get_batch)?;
         let lost = r.get_len()?;
         let panicked = r.get_opt_u64()?;
         match &mut f.miner {
-            Miner::Sync { done } => {
+            Miner::Sync { done, .. } => {
                 if lost > 0 || panicked.is_some() {
                     return Err(SnapshotError::Corrupt(
                         "synchronous finder cannot carry pool failures".into(),
@@ -833,18 +869,29 @@ pub(crate) fn put_batch(w: &mut SnapshotWriter, b: &MinedBatch) {
     w.put_u64(b.slice_end);
 }
 
-/// Reads one [`MinedBatch`].
+/// Reads one [`MinedBatch`], rejecting what no miner produces: an empty
+/// candidate, or an occurrence that does not end inside the mined slice.
+/// The replayer adds occurrence and length, so an unchecked `u64::MAX`
+/// from a hostile image would overflow at the next ingest.
 pub(crate) fn get_batch(r: &mut SnapshotReader<'_>) -> Result<MinedBatch, SnapshotError> {
-    Ok(MinedBatch {
-        job: r.get_u64()?,
-        candidates: r.get_seq(|r| {
-            Ok(MinedCandidate {
-                content: r.get_seq(|r| Ok(TaskHash(r.get_u64()?)))?,
-                occurrences: r.get_seq(|r| r.get_u64())?,
-            })
-        })?,
-        slice_end: r.get_u64()?,
-    })
+    let job = r.get_u64()?;
+    let candidates: Vec<MinedCandidate> = r.get_seq(|r| {
+        Ok(MinedCandidate {
+            content: r.get_seq(|r| Ok(TaskHash(r.get_u64()?)))?,
+            occurrences: r.get_seq(|r| r.get_u64())?,
+        })
+    })?;
+    let slice_end = r.get_u64()?;
+    for c in &candidates {
+        let len = c.content.len() as u64;
+        let inside = |&o: &u64| o.checked_add(len).is_some_and(|end| end <= slice_end);
+        if len == 0 || !c.occurrences.iter().all(inside) {
+            return Err(SnapshotError::Corrupt(format!(
+                "mined batch {job}: candidate of {len} token(s) reaches past slice end {slice_end}"
+            )));
+        }
+    }
+    Ok(MinedBatch { job, candidates, slice_end })
 }
 
 #[cfg(test)]
@@ -1094,35 +1141,63 @@ mod tests {
     }
 
     #[test]
-    fn winnow_prefilter_skips_repeat_free_slices() {
-        let mut c = cfg().with_winnow_prefilter();
+    fn repeat_free_stream_still_submits_its_jobs() {
+        // No filter stands in front of the kernel: every scheduled
+        // analysis of an all-distinct stream is submitted and numbered,
+        // and comes back empty (the kernel leaves at its first exit).
+        let mut c = cfg();
         c.min_trace_length = 6;
         let mut f = TraceFinder::new(&c);
-        // All-distinct tokens: every mining job is provably pointless.
         for t in 0..512u64 {
             f.record(TaskHash(1_000_000 + t));
         }
-        assert!(f.jobs_prefiltered > 0, "prefilter engaged");
-        assert_eq!(f.jobs_submitted, 0, "no futile jobs submitted");
-        assert!(f.poll_completed().is_empty());
+        assert!(f.jobs_submitted > 0, "analyses were submitted");
+        let batches = f.poll_completed();
+        assert_eq!(batches.len() as u64, f.jobs_submitted);
+        assert!(batches.iter().all(|b| b.candidates.is_empty()), "{batches:?}");
     }
 
     #[test]
-    fn winnow_prefilter_preserves_findings_on_periodic_streams() {
-        let mut with = TraceFinder::new(&cfg().with_winnow_prefilter());
-        let mut without = TraceFinder::new(&cfg());
-        feed_pattern(&mut with, &[1, 2, 3, 4, 5, 6], 24);
-        feed_pattern(&mut without, &[1, 2, 3, 4, 5, 6], 24);
-        let a = with.drain_blocking();
-        let b = without.drain_blocking();
-        // The prefilter may renumber jobs but must find the same candidates.
-        let ca: Vec<_> = a.iter().flat_map(|x| x.candidates.clone()).collect();
-        let cb: Vec<_> = b.iter().flat_map(|x| x.candidates.clone()).collect();
-        assert_eq!(ca, cb, "prefilter never changes mining results");
-        // Short suffix slices may legitimately be filtered (an 8-token
-        // slice of a 6-period stream holds no in-slice repeat), but the
-        // larger slices must pass and produce the same candidates.
-        assert!(with.jobs_submitted > 0, "long slices pass the filter");
+    fn corrupt_finder_snapshots_rejected() {
+        let image = |batch: &MinedBatch| {
+            let mut w = SnapshotWriter::new();
+            put_batch(&mut w, batch);
+            w.into_payload()
+        };
+        let candidate = |len: usize, occurrences: Vec<u64>| MinedCandidate {
+            content: (0..len as u64).map(TaskHash).collect(),
+            occurrences,
+        };
+        let batch = |c: MinedCandidate| MinedBatch { job: 3, candidates: vec![c], slice_end: 64 };
+        let restore = |b: &MinedBatch| get_batch(&mut SnapshotReader::new(&image(b)));
+
+        let valid = batch(candidate(4, vec![0, 60]));
+        assert_eq!(restore(&valid).as_ref(), Ok(&valid), "an occurrence may end at the slice end");
+        for hostile in [
+            batch(candidate(4, vec![u64::MAX])),     // end overflows
+            batch(candidate(4, vec![u64::MAX - 4])), // end past any slice
+            batch(candidate(4, vec![0, 61])),        // one token past the slice
+            batch(candidate(0, vec![0])),            // nothing to replay
+        ] {
+            let err = restore(&hostile).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{hostile:?}: {err}");
+        }
+
+        // The same bytes inside a whole finder image are refused too, and
+        // what a real finder writes restores.
+        let mut f = TraceFinder::new(&cfg());
+        feed_pattern(&mut f, &[1, 2, 3, 4], 8);
+        let mut w = SnapshotWriter::new();
+        f.write_snapshot(&mut w);
+        let payload = w.into_payload();
+        assert!(TraceFinder::restore_snapshot(&cfg(), &mut SnapshotReader::new(&payload)).is_ok());
+        let Miner::Sync { done, .. } = &mut f.miner else { unreachable!("cfg() mines inline") };
+        done[0].candidates[0].occurrences[0] = u64::MAX;
+        let mut w = SnapshotWriter::new();
+        f.write_snapshot(&mut w);
+        let payload = w.into_payload();
+        let err = TraceFinder::restore_snapshot(&cfg(), &mut SnapshotReader::new(&payload));
+        assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "hostile image accepted");
     }
 
     #[test]
@@ -1163,11 +1238,13 @@ mod tests {
         for w in batches.windows(2) {
             assert!(w[0].job < w[1].job, "submission order preserved across the panic");
         }
-        // The worker survived the panic: later jobs still mine.
-        assert!(
-            batches.iter().any(|b| !b.candidates.is_empty()),
-            "pool kept mining after the panic: {batches:?}"
-        );
+        // The worker survived the panic, and its replacement workspace
+        // mines exactly what an unpoisoned finder's does.
+        let mut fresh = TraceFinder::new(&cfg().with_async_mining());
+        feed_pattern(&mut fresh, &[1, 2, 3, 4], 16);
+        let expect = fresh.drain_blocking();
+        assert!(expect[job as usize + 1..].iter().any(|b| !b.candidates.is_empty()));
+        assert_eq!(batches[job as usize + 1..], expect[job as usize + 1..], "jobs after the panic");
     }
 
     #[test]

@@ -332,8 +332,12 @@ impl TraceReplayer {
                     let m = &mut self.meta[idx];
                     m.len = piece.len();
                     m.count = m.count.saturating_add(cand.occurrences.len() as u32);
-                    let occ_end =
-                        cand.occurrences.iter().map(|&o| o + end as u64).max().unwrap_or(0);
+                    let occ_end = cand
+                        .occurrences
+                        .iter()
+                        .map(|&o| o.saturating_add(end as u64))
+                        .max()
+                        .unwrap_or(0);
                     m.last_seen = m.last_seen.max(occ_end.min(batch.slice_end));
                 } else {
                     // `insert` rejects only empty pieces, which the

@@ -76,7 +76,6 @@ pub fn put_config(w: &mut SnapshotWriter, c: &Config) {
     w.put_opt_len(c.capacity.max_trie_nodes);
     w.put_opt_len(c.capacity.max_trie_bytes);
     w.put_opt_len(c.capacity.max_template_bytes);
-    w.put_bool(c.winnow_prefilter);
     w.put_u8(match c.finder_policy {
         FinderPolicy::DegradeUntraced => 0,
         FinderPolicy::FailStop => 1,
@@ -129,7 +128,6 @@ pub fn get_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
             max_trie_bytes: r.get_opt_len()?,
             max_template_bytes: r.get_opt_len()?,
         },
-        winnow_prefilter: r.get_bool()?,
         finder_policy: match r.get_u8()? {
             0 => FinderPolicy::DegradeUntraced,
             1 => FinderPolicy::FailStop,
@@ -156,7 +154,6 @@ mod tests {
             .with_mining_threads(3)
             .with_gated_ingest()
             .with_suffix_backend(SuffixBackend::Doubling)
-            .with_winnow_prefilter()
             .with_max_candidates(9)
             .with_max_trie_nodes(99)
             .with_max_trie_bytes(4096)

@@ -14,7 +14,8 @@ pub const FIXTURE_DIR: &str = "crates/lint/tests/fixtures";
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// Modules whose hash-map/set iteration order must not leak
-    /// (D001): snapshot codecs, eviction paths, lock-step state.
+    /// (D001): snapshot codecs, eviction paths, lock-step state, and the
+    /// miner — the order of its output is replay-decision input.
     pub deterministic_modules: Vec<String>,
     /// The recognize/replay hot path and the one sink it forwards into,
     /// where `unwrap`/`expect`/`panic!` are forbidden (P001).
@@ -31,10 +32,14 @@ impl LintConfig {
             deterministic_modules: vec![
                 "crates/core/src/replayer.rs".into(),
                 "crates/core/src/distributed.rs".into(),
+                "crates/core/src/finder.rs".into(),
                 "crates/core/src/snapshot.rs".into(),
                 "crates/tasksim/src/snapshot.rs".into(),
                 "crates/tasksim/src/runtime.rs".into(),
                 "crates/substrings/src/trie.rs".into(),
+                "crates/substrings/src/repeats.rs".into(),
+                "crates/substrings/src/suffix_array.rs".into(),
+                "crates/substrings/src/sais.rs".into(),
                 FIXTURE_DIR.into(),
             ],
             hot_panic_modules: vec![
@@ -90,7 +95,11 @@ mod tests {
     fn workspace_scopes() {
         let c = LintConfig::workspace();
         assert!(c.is_deterministic_module("crates/substrings/src/trie.rs"));
-        assert!(!c.is_deterministic_module("crates/substrings/src/sais.rs"));
+        for kernel in ["repeats.rs", "suffix_array.rs", "sais.rs"] {
+            assert!(c.is_deterministic_module(&format!("crates/substrings/src/{kernel}")));
+        }
+        assert!(c.is_deterministic_module("crates/core/src/finder.rs"));
+        assert!(!c.is_deterministic_module("crates/substrings/src/lzw.rs"));
         assert!(c.is_hot_panic_module("crates/core/src/engine.rs"));
         assert!(c.is_hot_panic_module("crates/substrings/src/trie.rs"));
         assert!(c.is_hot_panic_module("crates/tasksim/src/runtime.rs"));

@@ -5,16 +5,19 @@
 //! This crate implements the string machinery it needs, independent of any
 //! runtime system:
 //!
-//! * [`suffix_array`] — suffix array construction behind a selectable
-//!   backend (`SuffixBackend`): SA-IS induced sorting (`O(n)`, the
-//!   default) or prefix doubling with radix sort (`O(n log n)`), both over
-//!   a shared hash-compacted alphabet and both feeding Kasai's linear-time
-//!   LCP array.
-//! * [`sais`] — the SA-IS construction itself, the finder's default
-//!   suffix backend.
 //! * [`repeats`] — the paper's Algorithm 2: non-overlapping repeated
 //!   substring mining with greedy longest-first selection
 //!   (`quick_matching_of_substrings` in the artifact's flag spelling).
+//!   One kernel, `find_repeats_into`, running in a reusable `u32`
+//!   workspace (`MiningScratch`); the other entry points wrap it.
+//! * [`suffix_array`] — the kernel's suffix index: order-preserving
+//!   alphabet compaction, a suffix array from a selectable backend
+//!   (`SuffixBackend`: SA-IS induced sorting, `O(n)`, the default, or
+//!   prefix doubling with counting sorts, `O(n log n)`) and Kasai's
+//!   linear-time LCP array — stopping early when no repeat of the wanted
+//!   length can exist. `SuffixArray` is its owned, `usize` view.
+//! * `sais` (private) — the SA-IS construction itself, allocation-free
+//!   over caller-provided buffers.
 //! * [`coverage`] — the §3 optimization problem: traces, matchings,
 //!   coverage, validity, and a brute-force optimal reference solver used in
 //!   tests and ablations.
@@ -45,12 +48,12 @@
 pub mod coverage;
 pub mod lzw;
 pub mod repeats;
-pub mod sais;
+mod sais;
 pub mod suffix_array;
 pub mod tandem;
 pub mod trie;
-pub mod winnow;
 
+pub use repeats::{find_repeats_into, MiningScratch};
 pub use suffix_array::SuffixBackend;
 
 use std::fmt::Debug;

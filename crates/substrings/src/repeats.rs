@@ -4,9 +4,37 @@
 //! `quick_matching_of_substrings` in the artifact's command-line flags): a
 //! single pass over the suffix array + LCP array of the history buffer
 //! collects candidate repeats, then a greedy longest-first sweep selects as
-//! many non-overlapping occurrences as possible. Total cost is
-//! `O(n log n)`; the greedy sweep's interval-intersection test is `O(1)`
-//! amortized via a coverage-mark array, exactly as §4.2 describes.
+//! many non-overlapping occurrences as possible.
+//!
+//! # One kernel, one workspace
+//!
+//! [`find_repeats_into`] is the only implementation; [`find_repeats`],
+//! [`find_repeats_min_len`] and [`find_repeats_min_len_with`] call it on
+//! a fresh [`MiningScratch`]. A caller that mines repeatedly — the trace
+//! finder — owns one scratch per mining thread and passes it to every
+//! job: all intermediate state lives in its `u32` buffers, which grow to
+//! the largest slice seen and are never shrunk, so a warm kernel
+//! allocates nothing but the `Vec<Repeat<T>>` it returns (one vector for
+//! the list, a `content` and an `occurrences` vector per repeat, each at
+//! its exact size). A scratch carries no information from one call to
+//! the next; reusing, replacing or dropping it never changes a result.
+//!
+//! # Cost
+//!
+//! With the default SA-IS backend a job over `n` tokens with `σ`
+//! distinct ones costs `O(n + σ log σ)`: suffix indexing (see
+//! [`crate::suffix_array`]); one pass over adjacent suffix pairs
+//! emitting at most `2(n − 1)` candidate occurrences; four stable
+//! counting-sort passes (keys are ranks, lengths, starts and group ids,
+//! all `≤ 2n`) that produce the `(length ↓, rank)` order for grouping and
+//! the `(length ↓, group, start)` order for selection; a union-find over
+//! suffix ranks, merged in descending-LCP order, that answers "do these
+//! two occurrences have equal content?" in near-constant time; and the
+//! greedy sweep, whose interval-intersection test is two lookups in a
+//! coverage-mark array, exactly as §4.2 describes. Prefix doubling makes
+//! the first step `O(n log n)`. Most futile jobs never get that far:
+//! indexing stops as soon as it can prove no repeat of the minimum
+//! length exists (the two futility exits of [`crate::suffix_array`]).
 //!
 //! The algorithm trades optimality of the §3 objective for speed in two
 //! places (both called out in the paper): only maximal repetitions of each
@@ -18,9 +46,8 @@
 //! [`crate::coverage::max_coverage_upper_bound`] provides a reference bound
 //! for small inputs to measure the coverage gap.
 
-use crate::suffix_array::{SuffixArray, SuffixBackend};
+use crate::suffix_array::{counting_sort, refill, reserve_words, SuffixBackend, SuffixScratch};
 use crate::{Interval, Token};
-use std::cmp::Reverse;
 
 /// A repeated substring selected by [`find_repeats`], together with the
 /// non-overlapping start positions chosen for it.
@@ -56,13 +83,34 @@ impl<T> Repeat<T> {
     }
 }
 
-/// A candidate occurrence: `(len, group, start)` where `group` identifies
-/// the substring content (equal content ⇔ equal group within a length).
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    len: usize,
-    start: usize,
-    group: u32,
+/// Reusable workspace of the mining kernel ([`find_repeats_into`]).
+///
+/// Holds the suffix index of the slice being mined and the candidate
+/// buffers; see the module docs for its lifetime rules. `Default` is an
+/// empty workspace that sizes itself on first use.
+#[derive(Debug, Default)]
+pub struct MiningScratch {
+    index: SuffixScratch,
+    /// Candidate occurrences, one packed word each; the two buffers
+    /// alternate as source and destination of the counting-sort passes.
+    cands: Vec<u64>,
+    spare: Vec<u64>,
+    /// Positions already claimed by a selected occurrence.
+    covered: Vec<bool>,
+}
+
+/// Packs a candidate: the sort passes move one word, and the packed
+/// values of the final `(group, start)` pairs ascend in selection order.
+fn pack(top: u32, start: u32) -> u64 {
+    u64::from(top) << 32 | u64::from(start)
+}
+
+fn top(cand: u64) -> usize {
+    (cand >> 32) as usize
+}
+
+fn start(cand: u64) -> usize {
+    cand as u32 as usize
 }
 
 /// Mines `s` for non-overlapping repeated substrings of length ≥ 2.
@@ -107,68 +155,132 @@ pub fn find_repeats_min_len_with<T: Token>(
     min_len: usize,
     backend: SuffixBackend,
 ) -> Vec<Repeat<T>> {
+    find_repeats_into(&mut MiningScratch::default(), s, min_len, backend)
+}
+
+/// The mining kernel: [`find_repeats_min_len_with`] on a caller-owned
+/// workspace. The result depends on `s` and `min_len` only — never on
+/// what `scratch` was used for before, nor on `backend`.
+///
+/// # Panics
+///
+/// If `s` is longer than `u32::MAX / 2` tokens (the workspace is `u32`).
+pub fn find_repeats_into<T: Token>(
+    scratch: &mut MiningScratch,
+    s: &[T],
+    min_len: usize,
+    backend: SuffixBackend,
+) -> Vec<Repeat<T>> {
     let min_len = min_len.max(1);
     let n = s.len();
-    if n < 2 * min_len {
+    if n < 2 * min_len || !scratch.index.build(s, backend, min_len) {
         return Vec::new();
     }
-    let sa = SuffixArray::build_with(s, backend);
-    let mut cands = collect_candidates(&sa, min_len);
-    assign_groups(&sa, &mut cands);
+    let MiningScratch { index, cands, spare, covered } = scratch;
+    collect_candidates(index, min_len, cands);
+    if cands.is_empty() {
+        return Vec::new(); // Only overlapping runs too short to split.
+    }
+    refill(spare, cands.len(), 0);
 
-    // Greedy longest-first selection with O(1) amortized intersection
-    // checks: every previously selected interval is at least as long as the
-    // current candidate, so intersection implies one of the candidate's
-    // endpoints is already covered.
-    cands.sort_unstable_by_key(|c| (Reverse(c.len), c.group, c.start));
-    let mut covered = vec![false; n];
-    let mut out: Vec<Repeat<T>> = Vec::new();
-    let mut group_slot: Vec<Option<usize>> = Vec::new();
-    for c in &cands {
-        if covered[c.start] || covered[c.start + c.len - 1] {
+    // The suffix index is done with its phase-local words; carve ours.
+    // There are at most `cands.len() ≤ 2(n − 1)` groups.
+    let words = reserve_words(&mut index.work, 3 * n + 1 + 2 * cands.len());
+    let (counts, words) = words.split_at_mut(n + 1);
+    let (parent, words) = words.split_at_mut(n);
+    let (by_lcp, words) = words.split_at_mut(n);
+    let (group_len, group_at) = words.split_at_mut(cands.len());
+    let (rank, lcp) = (index.rank.as_slice(), index.lcp.as_slice());
+
+    // (length ↓, rank): least significant key first. Equal keys mean equal
+    // candidates, so the order is unique.
+    counting_sort(cands.iter().copied(), spare, counts, |c| rank[start(c)] as usize);
+    counting_sort(spare.iter().copied(), cands, counts, |c| n - top(c));
+
+    // Two candidates share a group iff they have equal length and equal
+    // content. Equal-length candidates with equal content are contiguous
+    // in rank order, and the suffixes ranked `a < b` share `len` tokens
+    // iff every `lcp[a..b]` is ≥ `len`: walking candidates by descending
+    // length, unite ranks `i` and `i + 1` once `lcp[i]` reaches the
+    // current length, and "same content" is "same set".
+    let linked = (0..lcp.len() as u32).filter(|&i| lcp[i as usize] as usize >= min_len);
+    let links = counting_sort(linked, by_lcp, counts, |i| n - lcp[i as usize] as usize);
+    let mut links = by_lcp[..links].iter().map(|&i| i as usize).peekable();
+    for (r, p) in parent.iter_mut().enumerate() {
+        *p = r as u32;
+    }
+    let mut groups = 0usize;
+    let mut open = None; // (length, set) of the group being numbered
+    for (at, cand) in cands.iter_mut().enumerate() {
+        let len = top(*cand);
+        while let Some(i) = links.next_if(|&i| lcp[i] as usize >= len) {
+            let (a, b) = (find(parent, i), find(parent, i + 1));
+            parent[b] = a as u32;
+        }
+        let key = (len, find(parent, rank[start(*cand)] as usize));
+        if open != Some(key) {
+            open = Some(key);
+            group_len[groups] = len as u32;
+            group_at[groups] = at as u32;
+            groups += 1;
+        }
+        *cand = pack(groups as u32 - 1, start(*cand) as u32);
+    }
+
+    // (length ↓, group, start) = (group, start), groups being numbered by
+    // descending length: sort by start, then scatter into the groups'
+    // slots, which are the runs they already occupy.
+    counting_sort(cands.iter().copied(), spare, counts, start);
+    for &cand in spare.iter() {
+        let at = &mut group_at[top(cand)];
+        cands[*at as usize] = cand;
+        *at += 1;
+    }
+
+    // Greedy longest-first selection with O(1) intersection checks: every
+    // previously selected interval is at least as long as the current
+    // candidate, so intersection implies one of the candidate's endpoints
+    // is already covered. A substring with a single surviving occurrence
+    // (the others stolen by longer repeats) still repeats in the stream,
+    // so it is kept — the replayer's scoring decides its fate.
+    refill(covered, n, false);
+    spare.clear();
+    for &cand in cands.iter() {
+        let (from, len) = (start(cand), group_len[top(cand)] as usize);
+        if covered[from] || covered[from + len - 1] {
             continue;
         }
-        covered[c.start..c.start + c.len].iter_mut().for_each(|b| *b = true);
-        let gi = c.group as usize;
-        if group_slot.len() <= gi {
-            group_slot.resize(gi + 1, None);
-        }
-        match group_slot[gi] {
-            Some(slot) => out[slot].occurrences.push(c.start),
-            None => {
-                group_slot[gi] = Some(out.len());
-                out.push(Repeat {
-                    content: s[c.start..c.start + c.len].to_vec(),
-                    occurrences: vec![c.start],
-                });
-            }
-        }
+        covered[from..from + len].fill(true);
+        spare.push(cand);
     }
-    // Keep only substrings that actually repeat (≥ 2 selected occurrences
-    // would be ideal, but a candidate by construction repeats somewhere in
-    // `s`; occurrences may have been stolen by longer repeats. A trace with
-    // a single surviving occurrence still repeats in the stream, so we keep
-    // it — the replayer's scoring decides its fate.)
-    for r in &mut out {
-        r.occurrences.sort_unstable();
-    }
+    // A group's survivors are contiguous and ascend by start.
+    let selected = spare.chunk_by(|a, b| top(*a) == top(*b));
+    let mut out = Vec::with_capacity(selected.clone().count());
+    out.extend(selected.map(|run| {
+        let (from, len) = (start(run[0]), group_len[top(run[0])] as usize);
+        Repeat {
+            content: s[from..from + len].to_vec(),
+            occurrences: run.iter().map(|&c| start(c)).collect(),
+        }
+    }));
     out
 }
 
 /// Pass 1 of Algorithm 2: walk adjacent suffix-array entries and emit
-/// candidate occurrences.
-fn collect_candidates(sa: &SuffixArray, min_len: usize) -> Vec<Candidate> {
-    let mut cands = Vec::with_capacity(2 * sa.len());
-    for i in 0..sa.len().saturating_sub(1) {
-        let (s1, s2, p) = (sa.sa()[i], sa.sa()[i + 1], sa.lcp()[i]);
-        if p < min_len {
+/// candidate occurrences as packed `(length, start)` words.
+fn collect_candidates(index: &SuffixScratch, min_len: usize, cands: &mut Vec<u64>) {
+    cands.clear();
+    cands.reserve_exact(2 * index.lcp.len());
+    for (pair, &p) in index.sa.windows(2).zip(&index.lcp) {
+        if (p as usize) < min_len {
             continue;
         }
+        let (s1, s2) = (pair[0], pair[1]);
         let (lo, hi) = if s1 < s2 { (s1, s2) } else { (s2, s1) };
         if lo + p <= hi {
             // The two occurrences do not overlap in the string.
-            cands.push(Candidate { len: p, start: s1, group: 0 });
-            cands.push(Candidate { len: p, start: s2, group: 0 });
+            cands.push(pack(p, s1));
+            cands.push(pack(p, s2));
         } else {
             // Overlapping occurrences: by the structure of the suffix
             // array the overlap is a run of repeats of period d = hi - lo.
@@ -176,76 +288,21 @@ fn collect_candidates(sa: &SuffixArray, min_len: usize) -> Vec<Candidate> {
             let d = hi - lo;
             let mut l = (p + d) / 2;
             l -= l % d;
-            if l >= min_len {
-                cands.push(Candidate { len: l, start: lo, group: 0 });
-                cands.push(Candidate { len: l, start: lo + l, group: 0 });
+            if l as usize >= min_len {
+                cands.push(pack(l, lo));
+                cands.push(pack(l, lo + l));
             }
         }
     }
-    cands
 }
 
-/// Pass 2: assign a group id to every candidate such that two candidates
-/// share a group iff they have equal length and equal content.
-///
-/// Candidates of equal length whose suffixes share a prefix of that length
-/// form contiguous runs in suffix-array rank order, so sorting by
-/// `(len desc, rank(start))` and comparing adjacent entries with a range-
-/// minimum query over the LCP array suffices.
-fn assign_groups(sa: &SuffixArray, cands: &mut [Candidate]) {
-    let rmq = LcpRmq::new(sa.lcp());
-    cands.sort_unstable_by_key(|c| (Reverse(c.len), sa.rank()[c.start]));
-    let mut next_group = 0u32;
-    for i in 0..cands.len() {
-        if i > 0 {
-            let (prev, cur) = (cands[i - 1], cands[i]);
-            // Duplicate occurrences (same start) are trivially the same
-            // group; the RMQ requires distinct ranks.
-            let same = prev.len == cur.len
-                && (prev.start == cur.start
-                    || rmq.range_min(sa.rank()[prev.start], sa.rank()[cur.start]) >= cur.len);
-            if !same {
-                next_group += 1;
-            }
-        }
-        cands[i].group = next_group;
+/// Union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [u32], mut x: usize) -> usize {
+    while parent[x] as usize != x {
+        parent[x] = parent[parent[x] as usize];
+        x = parent[x] as usize;
     }
-}
-
-/// Sparse-table range-minimum structure over the LCP array.
-///
-/// `range_min(i, j)` for ranks `i < j` returns the length of the longest
-/// common prefix of the suffixes ranked `i` and `j` — the classic
-/// suffix-array LCP range reduction.
-struct LcpRmq {
-    // table[k][i] = min of lcp[i .. i + 2^k]
-    table: Vec<Vec<usize>>,
-}
-
-impl LcpRmq {
-    fn new(lcp: &[usize]) -> Self {
-        let n = lcp.len();
-        let mut table = vec![lcp.to_vec()];
-        let mut k = 1;
-        while (1 << k) <= n {
-            let prev = &table[k - 1];
-            let half = 1 << (k - 1);
-            let row: Vec<usize> = (0..=n - (1 << k)).map(|i| prev[i].min(prev[i + half])).collect();
-            table.push(row);
-            k += 1;
-        }
-        Self { table }
-    }
-
-    /// Minimum of `lcp[lo..hi]` where `lo < hi` are suffix ranks
-    /// (i.e. the LCP of suffixes ranked `lo` and `hi`).
-    fn range_min(&self, a: usize, b: usize) -> usize {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        debug_assert!(lo < hi, "range_min needs distinct ranks");
-        let len = hi - lo;
-        let k = usize::BITS as usize - 1 - len.leading_zeros() as usize;
-        self.table[k][lo].min(self.table[k][hi - (1 << k)])
-    }
+    x
 }
 
 /// Total coverage (§3 objective value) of a mined repeat set.
@@ -256,6 +313,7 @@ pub fn total_coverage<T>(repeats: &[Repeat<T>]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     fn contents<T: Token>(reps: &[Repeat<T>]) -> Vec<Vec<T>> {
         reps.iter().map(|r| r.content.clone()).collect()
@@ -403,6 +461,94 @@ mod tests {
         assert!(total_coverage(&reps) >= 500, "coverage {}", total_coverage(&reps));
     }
 
+    /// Reference Algorithm 2, written for obviousness: naive suffix sort,
+    /// naive LCPs, comparison sorts and an `O(len)` content comparison
+    /// for grouping. The kernel must return exactly this, order included.
+    fn oracle<T: Token>(s: &[T], min_len: usize) -> Vec<Repeat<T>> {
+        let (n, min_len) = (s.len(), min_len.max(1));
+        if n < 2 * min_len {
+            return Vec::new();
+        }
+        let mut sa: Vec<usize> = (0..n).collect();
+        sa.sort_by(|&a, &b| s[a..].cmp(&s[b..]));
+        let mut rank = vec![0; n];
+        for (i, &p) in sa.iter().enumerate() {
+            rank[p] = i;
+        }
+        let mut cands: Vec<(usize, usize)> = Vec::new(); // (len, start)
+        for w in sa.windows(2) {
+            let (lo, hi) = (w[0].min(w[1]), w[0].max(w[1]));
+            let p = s[lo..].iter().zip(&s[hi..]).take_while(|(x, y)| x == y).count();
+            let d = hi - lo;
+            let l = (p + d) / 2 / d * d;
+            if p >= min_len && lo + p <= hi {
+                cands.extend([(p, w[0]), (p, w[1])]);
+            } else if p >= min_len && l >= min_len {
+                cands.extend([(l, lo), (l, lo + l)]);
+            }
+        }
+        cands.sort_by_key(|&(len, start)| (Reverse(len), rank[start]));
+        let mut grouped: Vec<(usize, usize, usize)> = Vec::new(); // (len, group, start)
+        for (i, &(len, start)) in cands.iter().enumerate() {
+            let group = grouped.last().map_or(0, |&(_, g, _)| {
+                let (prev_len, prev) = cands[i - 1];
+                let same = prev_len == len && s[prev..prev + len] == s[start..start + len];
+                g + usize::from(!same)
+            });
+            grouped.push((len, group, start));
+        }
+        grouped.sort_by_key(|&(len, group, start)| (Reverse(len), group, start));
+        let mut covered = vec![false; n];
+        let mut out: Vec<(usize, Repeat<T>)> = Vec::new();
+        for (len, group, start) in grouped {
+            if covered[start] || covered[start + len - 1] {
+                continue;
+            }
+            covered[start..start + len].fill(true);
+            match out.iter_mut().find(|(g, _)| *g == group) {
+                Some((_, r)) => r.occurrences.push(start),
+                None => {
+                    let content = s[start..start + len].to_vec();
+                    out.push((group, Repeat { content, occurrences: vec![start] }));
+                }
+            }
+        }
+        out.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Both backends, through the caller's (possibly well-used) scratch,
+    /// return the oracle's value.
+    fn check_against_oracle<T: Token>(scratch: &mut MiningScratch, s: &[T], min_len: usize) {
+        let expect = oracle(s, min_len);
+        for backend in [SuffixBackend::Sais, SuffixBackend::Doubling] {
+            let got = find_repeats_into(scratch, s, min_len, backend);
+            assert_eq!(got, expect, "{backend:?}, min_len {min_len}, on {s:?}");
+        }
+    }
+
+    #[test]
+    fn oracle_reproduces_figure4() {
+        let reps = oracle(b"aabcbcbaa", 2);
+        assert_eq!(contents(&reps), vec![b"aa".to_vec(), b"bc".to_vec()]);
+        assert_eq!((&reps[0].occurrences, &reps[1].occurrences), (&vec![0, 7], &vec![2, 4]));
+    }
+
+    #[test]
+    fn uniform_and_repeat_free_inputs_match_oracle_through_one_scratch() {
+        let mut scratch = MiningScratch::default();
+        // Descending lengths: every call but the first runs in buffers
+        // sized (and dirtied) by a longer input.
+        for len in (0..130usize).rev().step_by(7) {
+            for min_len in [1, 2, 5, 30] {
+                check_against_oracle(&mut scratch, &vec![7u64; len], min_len);
+                let distinct: Vec<u64> =
+                    (0..len as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+                check_against_oracle(&mut scratch, &distinct, min_len);
+                assert!(find_repeats_min_len(&distinct, min_len).is_empty());
+            }
+        }
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -477,6 +623,43 @@ mod tests {
                 let got = reps.iter().map(|r| r.len()).max().unwrap_or(0);
                 prop_assert!(got <= longest, "selected {got} > brute-force longest {longest}");
                 prop_assert!(got >= longest.div_ceil(2), "selected {got} < half of {longest}");
+            }
+
+            /// The kernel equals the oracle as whole values on
+            /// repeat-dense strings — and one scratch serves a run of
+            /// jobs of unrelated lengths, as a mining thread's does.
+            #[test]
+            fn kernel_matches_oracle_on_small_alphabets(
+                jobs in proptest::collection::vec(
+                    (proptest::collection::vec(0u8..4, 0..600), 1usize..30),
+                    1..5,
+                ),
+            ) {
+                let mut scratch = MiningScratch::default();
+                for (s, min_len) in &jobs {
+                    check_against_oracle(&mut scratch, s, *min_len);
+                }
+            }
+
+            /// The finder's shape: a loop body repeated, interrupted by
+            /// tokens that occur nowhere else.
+            #[test]
+            fn kernel_matches_oracle_on_noisy_periodic_streams(
+                jobs in proptest::collection::vec(
+                    (1usize..40, 0usize..600, proptest::collection::vec(0usize..600, 0..8), 1usize..30),
+                    1..4,
+                ),
+            ) {
+                let mut scratch = MiningScratch::default();
+                for (period, len, noise, min_len) in &jobs {
+                    let mut s: Vec<u64> = (0..*len).map(|i| (i % period) as u64).collect();
+                    for (k, &at) in noise.iter().enumerate() {
+                        if let Some(slot) = s.get_mut(at) {
+                            *slot = u64::MAX - k as u64;
+                        }
+                    }
+                    check_against_oracle(&mut scratch, &s, *min_len);
+                }
             }
         }
     }

@@ -51,7 +51,10 @@ pub const MAGIC: [u8; 4] = *b"APSN";
 /// configuration (`Config::reference_pipeline`).
 /// v4: that selector left it again — the reference pipeline is a
 /// test-only oracle now, not a configuration.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the winnowing pre-filter left with its `Config::winnow_prefilter`
+/// byte and the finder's `jobs_prefiltered` word — the mining kernel
+/// leaves repeat-free slices exactly and earlier.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Front-end tag: a bare [`crate::runtime::Runtime`] (untraced or
 /// manually annotated).

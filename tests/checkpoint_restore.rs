@@ -248,8 +248,9 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
     retagged[8] = snap::FRONT_END_RUNTIME;
     assert_eq!(expect_snapshot_err(&retagged), SnapshotError::DigestMismatch);
 
-    // Bad magic, future versions and the previous version (v3 payloads
-    // carry one more configuration byte) are typed.
+    // Bad magic, future versions and the previous version (v4 payloads
+    // carry one more configuration byte and one more finder word) are
+    // typed.
     let mut bad_magic = bytes.clone();
     bad_magic[0] = b'Z';
     assert_eq!(expect_snapshot_err(&bad_magic), SnapshotError::BadMagic);
@@ -257,8 +258,8 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
     future[4] = 0x7f;
     assert!(matches!(expect_snapshot_err(&future), SnapshotError::UnsupportedVersion(_)));
     let mut previous = bytes.clone();
-    previous[4] = 3;
-    assert_eq!(expect_snapshot_err(&previous), SnapshotError::UnsupportedVersion(3));
+    previous[4] = 4;
+    assert_eq!(expect_snapshot_err(&previous), SnapshotError::UnsupportedVersion(4));
 
     // A well-formed envelope with an unknown front-end tag.
     let mut unknown = Vec::new();
@@ -274,8 +275,86 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
         SnapshotError::Corrupt(_) | SnapshotError::Truncated
     ));
 
+    // A mined batch no miner can produce — an occurrence whose end
+    // overflows — behind a *valid* digest: spliced into the finder's
+    // completed-batch list of the auto image, and into the last node's
+    // pending-batch queue of a distributed image. Both are refused at
+    // restore instead of overflowing at the next ingest.
+    let (tag, mut payload) = snap::read_envelope(&mut bytes.as_slice()).unwrap();
+    let at = finder_completed_offset(&payload);
+    splice_hostile_batch(&mut payload, at, &[]);
+    let mut hostile = Vec::new();
+    snap::write_envelope(tag, &payload, &mut hostile).unwrap();
+    assert!(matches!(expect_snapshot_err(&hostile), SnapshotError::Corrupt(_)));
+
+    let (tag, mut payload) = snap::read_envelope(&mut distributed_bytes().as_slice()).unwrap();
+    let at = payload.len() - 8;
+    // A queue entry leads with its agreed ingest position and readiness.
+    splice_hostile_batch(&mut payload, at, &[0, 0]);
+    let mut hostile = Vec::new();
+    snap::write_envelope(tag, &payload, &mut hostile).unwrap();
+    assert!(matches!(expect_snapshot_err(&hostile), SnapshotError::Corrupt(_)));
+
     // And the pristine bytes still restore.
     assert!(Session::resume_from(&mut bytes.as_slice()).is_ok());
+}
+
+fn word_at(payload: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+}
+
+/// Offset of the (empty) completed-batch list in the finder image inside
+/// [`checkpoint_bytes`]' payload. The image opens with the history buffer
+/// — every task issued so far, the stream being shorter than the buffer —
+/// then `buffer_start` (0) and the sampler's arrival count (again every
+/// task): a signature nothing else in the payload shares. Two more
+/// counters and the firing count precede the list.
+fn finder_completed_offset(payload: &[u8]) -> usize {
+    // 40 iterations × (8 body + 1 rotating) + 8 unique tasks.
+    let issued = 40 * 9 + 8;
+    let buffer = 8 * (1 + issued as usize);
+    let mut hits = (0..payload.len().saturating_sub(buffer + 16)).filter(|&at| {
+        word_at(payload, at) == issued
+            && word_at(payload, at + buffer) == 0
+            && word_at(payload, at + buffer + 8) == issued
+    });
+    let at = hits.next().expect("finder image found");
+    assert!(hits.next().is_none(), "finder signature is unique");
+    let completed = at + buffer + 8 * 5;
+    assert_eq!(word_at(payload, completed), 0, "inline mining leaves nothing unpolled");
+    completed
+}
+
+/// Turns the empty sequence at `at` into a one-element sequence holding
+/// `prefix` and then a batch whose single occurrence is `u64::MAX`.
+fn splice_hostile_batch(payload: &mut Vec<u8>, at: usize, prefix: &[u64]) {
+    assert_eq!(word_at(payload, at), 0, "splicing into an empty sequence");
+    let batch = [0, 1, 4, 11, 12, 13, 14, 1, u64::MAX, 4]; // job, [content, occurrences], end
+    let words = [1].iter().chain(prefix).chain(&batch);
+    payload.splice(at..at + 8, words.flat_map(|w| w.to_le_bytes()));
+}
+
+/// A distributed checkpoint cut where the last node's pending-batch
+/// queue — the payload's tail — is empty.
+fn distributed_bytes() -> Vec<u8> {
+    for iters in 1..40 {
+        let mut issuer = build(
+            Tracing::Distributed {
+                config: small_auto(),
+                delay: DelayModel::new(7, 12),
+                initial_interval: 8,
+            },
+            LogRetention::Drain,
+        );
+        drive_range(issuer.as_mut(), false, 0, iters);
+        let mut bytes = Vec::new();
+        issuer.checkpoint(&mut bytes).unwrap();
+        let (_, payload) = snap::read_envelope(&mut bytes.as_slice()).unwrap();
+        if word_at(&payload, payload.len() - 8) == 0 {
+            return bytes;
+        }
+    }
+    panic!("no cut with an empty pending-batch queue");
 }
 
 #[test]

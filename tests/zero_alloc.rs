@@ -10,18 +10,22 @@
 //! * **mid-replay** — a single cursor walking a memoized candidate chain
 //!   while the pending buffer cycles inside its warmed capacity.
 //!
+//! Mining has a contract of the same kind: a warm synchronous
+//! [`TraceFinder`] mining slices within its resident bound allocates
+//! inside `record()` exactly the batches it hands back — nothing at all
+//! on a stream that holds no repeat.
+//!
 //! A counting `#[global_allocator]` wrapper measures heap allocations
 //! (alloc / alloc_zeroed / realloc) across thousands of steady-state
-//! tasks and asserts the count is exactly zero. Arming is *per-thread*
-//! (const-initialized TLS, no destructor, so the allocator may probe it
-//! safely): harness threads allocating concurrently cannot pollute the
-//! measurement.
+//! tasks and asserts the count is exactly zero. Arming and counting are
+//! *per-thread* (const-initialized TLS, no destructor, so the allocator
+//! may probe it safely): harness threads allocating concurrently — the
+//! other test of this file included — cannot pollute the measurement.
 
-use apophenia::{Config, MinedBatch, MinedCandidate, TraceReplayer, TraceSink};
+use apophenia::{Config, MinedBatch, MinedCandidate, TraceFinder, TraceReplayer, TraceSink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 use tasksim::ids::{TaskKindId, TraceId};
 use tasksim::task::{TaskDesc, TaskHash};
 
@@ -29,35 +33,31 @@ use tasksim::task::{TaskDesc, TaskHash};
 /// thread while that thread is armed.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn armed() -> bool {
-    ARMED.try_with(Cell::get).unwrap_or(false)
+/// Counts one allocation if this thread is armed.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -71,11 +71,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Counts heap allocations performed by `f` on this thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 /// A sink that discards everything (the replayer's own cost in
@@ -169,4 +169,111 @@ fn steady_states_are_allocation_free() {
         512,
         "every measured occurrence replayed"
     );
+}
+
+/// Feeds `tokens` to `finder`, polling after every token the way the
+/// engine does; returns each mined batch with the allocations made
+/// inside the `record()` call that mined it. With `warm` set, a
+/// `record()` that mines nothing must allocate nothing.
+fn record_all(
+    finder: &mut TraceFinder,
+    tokens: impl Iterator<Item = u64>,
+    warm: bool,
+) -> Vec<(u64, MinedBatch)> {
+    let mut mined = Vec::new();
+    for t in tokens {
+        let allocs = allocations_in(|| finder.record(TaskHash(t)));
+        let batches = finder.poll_completed();
+        assert!(batches.len() <= 1, "inline mining: one job per token at most");
+        assert!(!warm || allocs == 0 || batches.len() == 1, "only mining allocates");
+        mined.extend(batches.into_iter().map(|b| (allocs, b)));
+    }
+    mined
+}
+
+/// Allocations a batch's own values account for: one vector for a
+/// non-empty candidate list, and per candidate its content and its
+/// occurrences.
+fn returned(batch: &MinedBatch) -> u64 {
+    let n = batch.candidates.len() as u64;
+    if n == 0 {
+        0
+    } else {
+        1 + 2 * n
+    }
+}
+
+/// A token no other index maps to (and none of the small ones below).
+fn unique(i: u64) -> u64 {
+    i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1 << 63
+}
+
+/// Every other token drawn from seven: plenty of repeated tokens, so the
+/// count of distinct ones cannot refute a repeat and the suffix and LCP
+/// arrays are built — but no two suffixes share even two tokens.
+fn interleaved(i: u64) -> u64 {
+    if i.is_multiple_of(2) {
+        unique(i)
+    } else {
+        i / 2 % 7
+    }
+}
+
+fn periodic(i: u64) -> u64 {
+    unique(i % 159)
+}
+
+#[test]
+fn warm_mining_allocates_only_what_it_returns() {
+    // (name, stream, whether it holds repeats). On the all-distinct
+    // stream the kernel leaves after counting distinct tokens.
+    type Stream = fn(u64) -> u64;
+    let streams: [(&str, Stream, bool); 3] = [
+        ("all-distinct", unique, false),
+        ("interleaved", interleaved, false),
+        ("period-159", periodic, true),
+    ];
+
+    // --- Every job within the resident bound ----------------------------
+    // The artifact's schedule (an analysis every 500 tokens over a
+    // ruler-sampled suffix, traces ≥ 25) over a 1 000-token buffer: no
+    // slice exceeds twice the granularity, so every job runs in the
+    // finder's persistent workspace and the kernel allocates nothing.
+    let config = Config::standard().with_batch_size(1000);
+    for (name, stream, repeats) in streams {
+        let mut finder = TraceFinder::new(&config);
+        record_all(&mut finder, (0..3_000).map(stream), false);
+        let mined = record_all(&mut finder, (3_000..15_000).map(stream), true);
+        assert!(mined.len() >= 20, "{name}: {} jobs", mined.len());
+        assert_eq!(mined.iter().any(|(_, b)| !b.candidates.is_empty()), repeats, "{name}");
+        for (allocs, batch) in &mined {
+            assert_eq!(*allocs, returned(batch), "{name}: job {} allocated of its own", batch.job);
+        }
+    }
+
+    // --- The standard 5 000-token buffer ---------------------------------
+    // Slices longer than the resident bound are mined in a workspace of
+    // their own: a bounded number of allocations, however long the
+    // slice, and the persistent workspace stays warm in between.
+    let config = Config::standard();
+    for (name, stream, _) in streams {
+        let mut finder = TraceFinder::new(&config);
+        record_all(&mut finder, (0..12_000).map(stream), false);
+        let mined = record_all(&mut finder, (12_000..24_000).map(stream), true);
+        assert!(mined.len() >= 20, "{name}: {} jobs", mined.len());
+        for (allocs, batch) in &mined {
+            // The ruler: job k (from 1) mines the last 500 · 2^tz(k) tokens.
+            let slice = 500usize << (batch.job + 1).trailing_zeros();
+            let own = allocs - returned(batch);
+            if slice <= 1000 {
+                assert_eq!(own, 0, "{name}: resident job {} ({slice} tokens)", batch.job);
+            } else {
+                assert!(
+                    (1..=16).contains(&own),
+                    "{name}: job {} ({slice} tokens): {own}",
+                    batch.job
+                );
+            }
+        }
+    }
 }
