@@ -20,24 +20,46 @@
 //!
 //! # Per-task cost
 //!
-//! A task costs one trie step per live cursor plus O(1) for the verdict,
-//! however many completed matches are waiting. Two invariants carry that:
+//! A task costs one trie step per live cursor, plus a verdict whose cost
+//! does not depend on how many completed matches are waiting:
 //!
-//! * **Cursors are strictly ascending by `start`.** Each task spawns at
-//!   most one cursor, appended last with the newest `start`; stepping,
-//!   replay and eviction only ever drop cursors in place. So `cursors[0]`
-//!   is the oldest, and it alone bounds the flushable prefix.
-//! * **The blocked verdict needs no scores.** The replayer tracks the
-//!   minimum `start` over the waiting matches. Whichever match scores
-//!   best starts at or after that minimum, so an oldest cursor at or
-//!   before it blocks the verdict *for every possible best* — the
-//!   deferred state is decided by one comparison.
+//! * **O(1) while deferred.** Cursors are strictly ascending by `start`
+//!   (each task spawns at most one, appended last with the newest
+//!   `start`; stepping, replay and eviction only drop cursors in place),
+//!   so `cursors[0]` is the oldest. The replayer tracks the minimum
+//!   `start` over the waiting matches; whichever match scores best starts
+//!   at or after it, so an oldest cursor at or before it blocks the
+//!   verdict *for every possible best* — one comparison, no scores — and
+//!   the same two values bound the flushable prefix.
+//! * **O(candidates with a waiting match) for an open verdict.** Waiting
+//!   matches sit in one FIFO queue per candidate. All matches of a
+//!   candidate have its length, so they complete — and are queued — in
+//!   ascending `start`, and share its score; `rank()` breaks that tie by
+//!   the earlier start, so the *front* of a queue is the only match of
+//!   its candidate that can ever be best. Choosing the best match is a
+//!   max over the fronts of the non-empty queues: one match examined and
+//!   one `score()` (a `powf`) per candidate — at most 7 on the paper's
+//!   Figure 1 stream, where a verdict used to walk 2 300 waiting matches.
+//!   A replay pops, from each queue, the prefix it overlaps (each match
+//!   is pushed once and popped once) and re-reads the minimum off the
+//!   fronts.
+//! * **O(live cursors) for the step itself**, which is what remains: the
+//!   Figure 1 stream (`jacobi_rename` in apobench) keeps 359.5 cursors
+//!   alive per slow-path step, in lock-step along one long candidate. An
+//!   Aho–Corasick-style automaton (one state instead of a cursor vector,
+//!   failure links built lazily) was prototyped exactly and takes that
+//!   stream from ≈ 2 300 to 976 ns/task, but every ingest that adds a
+//!   candidate invalidates the links, which costs streams that extend a
+//!   large trie often and never revisit it within an epoch +40 %
+//!   (`torchswe_steady`), +18 % (`cfd_dist_ckpt`) and +7 %
+//!   (`phase_churn_capped`); it needs a stable-trie gate first.
 //!
-//! Only when the oldest cursor has moved past some waiting match is a
-//! best match actually chosen, and then `score()` — a `powf` — runs once
-//! per distinct candidate with a waiting match, not once per match.
-//! Debug builds recompute every verdict by full scans and assert the two
-//! agree.
+//! Snapshots list the waiting matches in the order the recognizer minted
+//! them — ascending `end`, then ascending `start`, unique because two
+//! matches over one window are one candidate — so an image does not
+//! depend on the grouping, and restore rejects any other order. Debug
+//! builds recompute every verdict by full scans over every waiting match
+//! and assert the two agree.
 //!
 //! [`TraceReplayer::on_task`] is the only recognition path —
 //! [`TraceReplayer::on_batch`] loops over it — and every forwarded task
@@ -180,6 +202,89 @@ struct CompletedMatch {
     end: u64,
 }
 
+/// The completed matches awaiting a verdict: one FIFO queue of match
+/// starts per candidate (a match's end is its start plus the candidate's
+/// length), and the candidates whose queue is non-empty.
+///
+/// **Queue invariant.** A candidate's matches all have its length and at
+/// most one of them completes per task, so they complete — and are pushed
+/// — in strictly ascending `start`. [`TraceReplayer::rank`] breaks equal
+/// scores and lengths by the earlier start, so the *front* of a queue is
+/// the only match of its candidate that can ever be best, and the matches
+/// a replay consumes (`start` below the replayed match's end) are a
+/// prefix of every queue.
+#[derive(Debug, Default)]
+struct WaitingMatches {
+    /// Indexed by candidate id, grown on first use. A drained queue keeps
+    /// its capacity (and its slot's next candidate inherits it), so the
+    /// defer → replay cycle stops allocating once warm.
+    queues: Vec<VecDeque<u64>>,
+    /// Candidates with a non-empty queue, in the order they became so —
+    /// never more than the live candidates, a handful in practice.
+    nonempty: Vec<CandidateId>,
+}
+
+impl WaitingMatches {
+    fn is_empty(&self) -> bool {
+        self.nonempty.is_empty()
+    }
+
+    /// Whether a match of `cand` awaits a verdict.
+    fn has(&self, cand: CandidateId) -> bool {
+        self.queues.get(cand.0 as usize).is_some_and(|q| !q.is_empty())
+    }
+
+    /// Queues a match of `cand`; `start` must exceed every start already
+    /// queued for it.
+    fn push(&mut self, cand: CandidateId, start: u64) {
+        let idx = cand.0 as usize;
+        if self.queues.len() <= idx {
+            self.queues.resize_with(idx + 1, VecDeque::new);
+        }
+        let queue = &mut self.queues[idx];
+        debug_assert!(queue.back().is_none_or(|&last| last < start), "queue must ascend");
+        if queue.is_empty() {
+            self.nonempty.push(cand);
+        }
+        queue.push_back(start);
+    }
+
+    /// The oldest waiting match of each candidate that has one.
+    fn fronts(&self) -> impl Iterator<Item = (CandidateId, u64)> + '_ {
+        self.nonempty.iter().filter_map(|&c| Some((c, *self.queues[c.0 as usize].front()?)))
+    }
+
+    /// Every waiting match, grouped by candidate.
+    fn iter(&self) -> impl Iterator<Item = (CandidateId, u64)> + '_ {
+        self.nonempty.iter().flat_map(|&c| self.queues[c.0 as usize].iter().map(move |&s| (c, s)))
+    }
+
+    /// Minimum `start` over the waiting matches; `u64::MAX` when none.
+    fn min_start(&self) -> u64 {
+        self.fronts().map(|(_, start)| start).min().unwrap_or(u64::MAX)
+    }
+
+    /// Drops every match starting before `end` — a prefix of each queue,
+    /// so a match is popped once in its life.
+    fn drop_before(&mut self, end: u64) {
+        let queues = &mut self.queues;
+        self.nonempty.retain(|c| {
+            let queue = &mut queues[c.0 as usize];
+            while queue.front().is_some_and(|&start| start < end) {
+                queue.pop_front();
+            }
+            !queue.is_empty()
+        });
+    }
+
+    /// Waiting matches in total (tests only: nothing on the recognition
+    /// path may depend on it).
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+}
+
 /// A buffered, not-yet-forwarded task.
 #[derive(Debug, Clone)]
 struct PendingTask {
@@ -245,7 +350,7 @@ pub struct TraceReplayer {
     meta: Vec<CandidateMeta>,
     cursors: Vec<Cursor>,
     pending: VecDeque<PendingTask>,
-    completed: Vec<CompletedMatch>,
+    completed: WaitingMatches,
     /// Trace ids whose candidates were evicted; the sink is told to drop
     /// their templates at the next forwarding opportunity (eviction runs
     /// inside `ingest`, which has no sink at hand).
@@ -262,11 +367,6 @@ pub struct TraceReplayer {
     /// the cursor ordering invariant, all `decide` needs to prove a
     /// verdict blocked and to bound the flushable prefix.
     min_completed_start: u64, // snapshot: derived
-    /// Per-candidate score memo for [`Self::best_completed`], parallel to
-    /// `meta`: `(stamp, score)`, valid when the stamp equals
-    /// `score_stamp`. Sized with `meta`, so scoring never allocates.
-    scratch_scores: Vec<(u64, f64)>, // snapshot: derived
-    score_stamp: u64, // snapshot: derived
     /// Test oracle: take the frozen pre-optimization step and route
     /// `decide` through full scans.
     #[cfg(test)]
@@ -276,10 +376,9 @@ pub struct TraceReplayer {
     scratch_cursors: Vec<Cursor>, // snapshot: derived
     /// Reusable scratch collections for `enforce_capacity` (the hot
     /// ingest path must not rebuild them per call).
-    scratch_pending: HashSet<u32>, // snapshot: derived
     scratch_cursor_nodes: HashSet<NodeId>, // snapshot: derived
     scratch_ranked: Vec<(f64, u32)>, // snapshot: derived
-    scratch_dead: HashSet<NodeId>, // snapshot: derived
+    scratch_dead: HashSet<NodeId>,   // snapshot: derived
 }
 
 impl TraceReplayer {
@@ -290,7 +389,7 @@ impl TraceReplayer {
             meta: Vec::new(),
             cursors: Vec::new(),
             pending: VecDeque::new(),
-            completed: Vec::new(),
+            completed: WaitingMatches::default(),
             retired_traces: Vec::new(),
             scoring: config.scoring,
             capacity: config.capacity,
@@ -300,12 +399,9 @@ impl TraceReplayer {
             now: 0,
             stats: ReplayerStats::default(),
             min_completed_start: u64::MAX,
-            scratch_scores: Vec::new(),
-            score_stamp: 0,
             #[cfg(test)]
             naive_decide: false,
             scratch_cursors: Vec::new(),
-            scratch_pending: HashSet::new(),
             scratch_cursor_nodes: HashSet::new(),
             scratch_ranked: Vec::new(),
             scratch_dead: HashSet::new(),
@@ -327,7 +423,6 @@ impl TraceReplayer {
                     let idx = id.0 as usize;
                     if self.meta.len() <= idx {
                         self.meta.resize_with(idx + 1, CandidateMeta::default);
-                        self.scratch_scores.resize(idx + 1, (0, 0.0));
                     }
                     let m = &mut self.meta[idx];
                     m.len = piece.len();
@@ -409,11 +504,6 @@ impl TraceReplayer {
         // All working collections are taken from reusable scratch fields
         // and returned below: capacity enforcement sits on the ingest hot
         // path and must not rebuild them per call.
-        //
-        // Candidates whose in-flight occurrence awaits a replay decision.
-        let mut pending = std::mem::take(&mut self.scratch_pending);
-        pending.clear();
-        pending.extend(self.completed.iter().map(|c| c.cand.0));
         let mut cursor_nodes = std::mem::take(&mut self.scratch_cursor_nodes);
         cursor_nodes.clear();
         cursor_nodes.extend(self.cursors.iter().map(|c| c.node));
@@ -433,7 +523,8 @@ impl TraceReplayer {
                 break;
             }
             let id = CandidateId(idx);
-            if pending.contains(&idx) {
+            // Its in-flight occurrence awaits a replay decision.
+            if self.completed.has(id) {
                 continue;
             }
             if !cursor_nodes.is_empty()
@@ -468,7 +559,6 @@ impl TraceReplayer {
             self.meta[idx as usize] = CandidateMeta::default();
             self.stats.evicted_candidates += 1;
         }
-        self.scratch_pending = pending;
         self.scratch_cursor_nodes = cursor_nodes;
         self.scratch_ranked = ranked;
         // Compact when the freed slots matter: either the allocated table
@@ -509,11 +599,13 @@ impl TraceReplayer {
         // decided memory matters — never on the routine ingest path.
         let slots = self.trie.truncate_candidates();
         if slots < self.meta.len() {
+            // Truncated slots are dead, and a dead candidate has no
+            // waiting match (eviction defers while it does).
             self.meta.truncate(slots);
-            self.scratch_scores.truncate(slots);
+            self.completed.queues.truncate(slots);
             if compacted {
                 self.meta.shrink_to_fit();
-                self.scratch_scores.shrink_to_fit();
+                self.completed.queues.shrink_to_fit();
             }
         }
     }
@@ -588,7 +680,7 @@ impl TraceReplayer {
 
         // Advance cursors (including a fresh one starting here) through
         // the reusable double buffer; completions land directly in
-        // `self.completed`.
+        // their candidate's queue.
         let pre_existing = self.cursors.len();
         let mut survivors = std::mem::take(&mut self.scratch_cursors);
         survivors.clear();
@@ -607,7 +699,7 @@ impl TraceReplayer {
             };
             if let Some(next) = self.trie.step(cur.node, hash) {
                 if let Some(cand) = self.trie.terminal(next) {
-                    self.completed.push(CompletedMatch { cand, start: cur.start, end: global + 1 });
+                    self.completed.push(cand, cur.start);
                     self.min_completed_start = self.min_completed_start.min(cur.start);
                     let m = &mut self.meta[cand.0 as usize];
                     m.count = m.count.saturating_add(1);
@@ -650,10 +742,9 @@ impl TraceReplayer {
         while let Some(best) = self.best_completed() {
             self.replay(best, sink)?;
         }
-        self.forward_untraced_before(u64::MAX, sink)?;
-        self.completed.clear();
-        self.min_completed_start = u64::MAX;
-        Ok(())
+        // Each replay dropped what it overlapped; the loop ran the queues dry.
+        debug_assert!(self.completed.is_empty() && self.min_completed_start == u64::MAX);
+        self.forward_untraced_before(u64::MAX, sink)
     }
 
     /// Replayer counters.
@@ -746,7 +837,12 @@ impl TraceReplayer {
             p.desc.snapshot(w);
             w.put_u64(p.global);
         });
-        w.put_seq(&self.completed, |w, c| {
+        // The order the recognizer minted them in — ascending `end`, then
+        // ascending `start` (unique: equal windows are one candidate) — so
+        // the image does not depend on how waiting matches are grouped.
+        let mut completed: Vec<CompletedMatch> = self.waiting_matches().collect();
+        completed.sort_unstable_by_key(|c| (c.end, c.start));
+        w.put_seq(&completed, |w, c| {
             w.put_u32(c.cand.0);
             w.put_u64(c.start);
             w.put_u64(c.end);
@@ -776,8 +872,9 @@ impl TraceReplayer {
     ///
     /// [`SnapshotError`] on truncated or structurally impossible input
     /// (broken trie invariants, a candidate table out of step with the
-    /// trie, out-of-range, out-of-window or misordered cursors, dead
-    /// completed matches).
+    /// trie, out-of-range, out-of-window or misordered cursors, completed
+    /// matches that are dead, out of window, not as long as their
+    /// candidate, out of order or listed twice).
     pub fn restore_snapshot(
         config: &Config,
         r: &mut SnapshotReader<'_>,
@@ -818,7 +915,6 @@ impl TraceReplayer {
         if !mirrored {
             return Err(SnapshotError::Corrupt("candidate table disagrees with the trie".into()));
         }
-        replayer.scratch_scores = vec![(0, 0.0); replayer.meta.len()];
         replayer.cursors = r.get_seq(|r| {
             let node = r.get_len()?;
             if node >= node_bound {
@@ -828,14 +924,14 @@ impl TraceReplayer {
         })?;
         replayer.pending =
             r.get_deque(|r| Ok(PendingTask { desc: TaskDesc::restore(r)?, global: r.get_u64()? }))?;
-        replayer.completed = r.get_seq(|r| {
+        let completed = r.get_seq(|r| {
             Ok(CompletedMatch {
                 cand: CandidateId(r.get_u32()?),
                 start: r.get_u64()?,
                 end: r.get_u64()?,
             })
         })?;
-        for c in &replayer.completed {
+        for c in &completed {
             if (c.cand.0 as usize) >= replayer.meta.len() || !replayer.trie.is_live(c.cand) {
                 return Err(SnapshotError::Corrupt(
                     "completed match names a dead candidate".into(),
@@ -861,12 +957,30 @@ impl TraceReplayer {
             return Err(SnapshotError::Corrupt("pending buffer does not end at `now`".into()));
         }
         let window_lo = replayer.pending.front().map_or(replayer.now, |p| p.global);
-        for c in &replayer.completed {
+        // A window must also *be* an occurrence of its candidate — as long
+        // as the candidate — or its replay would bracket the wrong tasks
+        // under the candidate's trace id; and the per-candidate queues
+        // rely on the order `write_snapshot` emits (strictly ascending
+        // `(end, start)`, which also rules out a match listed twice).
+        let mut prev = None;
+        for c in &completed {
             if c.start < window_lo || c.end > replayer.now || c.start >= c.end {
                 return Err(SnapshotError::Corrupt(
                     "completed match window outside the pending buffer".into(),
                 ));
             }
+            if c.end - c.start != replayer.trie.candidate_len(c.cand) as u64 {
+                return Err(SnapshotError::Corrupt(
+                    "completed match is not as long as its candidate".into(),
+                ));
+            }
+            if prev >= Some((c.end, c.start)) {
+                return Err(SnapshotError::Corrupt(
+                    "completed matches out of order or listed twice".into(),
+                ));
+            }
+            prev = Some((c.end, c.start));
+            replayer.completed.push(c.cand, c.start);
         }
         // `decide` reads the oldest cursor off `cursors[0]` and flushes the
         // prefix before it: an image with cursors out of order (or starting
@@ -880,7 +994,7 @@ impl TraceReplayer {
                 "cursors not ascending inside the pending buffer".into(),
             ));
         }
-        replayer.min_completed_start = replayer.min_start_by_scan();
+        replayer.min_completed_start = replayer.completed.min_start();
         replayer.stats = ReplayerStats {
             forwarded_untraced: r.get_u64()?,
             forwarded_traced: r.get_u64()?,
@@ -971,24 +1085,27 @@ impl TraceReplayer {
             .then_with(|| b.1.start.cmp(&a.1.start))
     }
 
-    /// Highest-ranking completed match. Matches of one candidate share
-    /// its score, so `score()` runs once per distinct candidate.
-    fn best_completed(&mut self) -> Option<CompletedMatch> {
-        self.score_stamp += 1;
-        let mut scores = std::mem::take(&mut self.scratch_scores);
-        let best = (self.completed.iter())
-            .map(|&m| {
-                let slot = &mut scores[m.cand.0 as usize];
-                if slot.0 != self.score_stamp {
-                    #[cfg(test)]
-                    tests::SCORE_EVALS.with(|n| n.set(n.get() + 1));
-                    *slot = (self.score_stamp, self.score(m.cand, self.now));
-                }
-                (slot.1, m)
-            })
-            .max_by(|&a, &b| Self::rank(a, b));
-        self.scratch_scores = scores;
-        best.map(|(_, m)| m)
+    /// The waiting match starting at `start`: `cand`'s length fixes its end.
+    fn window(&self, cand: CandidateId, start: u64) -> CompletedMatch {
+        CompletedMatch { cand, start, end: start + self.meta[cand.0 as usize].len as u64 }
+    }
+
+    /// Every waiting match — for the snapshot and the full-scan oracles;
+    /// the recognition path only ever looks at the queue fronts.
+    fn waiting_matches(&self) -> impl Iterator<Item = CompletedMatch> + '_ {
+        self.completed.iter().map(|(cand, start)| self.window(cand, start))
+    }
+
+    /// Highest-ranking completed match: the best of the queue fronts (see
+    /// [`WaitingMatches`]), so one match examined and one `score()` per
+    /// candidate with a waiting match, however many wait behind it.
+    fn best_completed(&self) -> Option<CompletedMatch> {
+        let fronts = self.completed.fronts().map(|(cand, start)| {
+            #[cfg(test)]
+            tests::count_examined_match();
+            (self.score(cand, self.now), self.window(cand, start))
+        });
+        fronts.max_by(|&a, &b| Self::rank(a, b)).map(|(_, m)| m)
     }
 
     /// The verdict as the pre-shortcut replayer reached it — every
@@ -996,7 +1113,7 @@ impl TraceReplayer {
     /// debug builds (and the test-only naive `decide`) check the O(1)
     /// verdict against. Returns the best match and whether it is blocked.
     fn verdict_by_full_scan(&self) -> Option<(CompletedMatch, bool)> {
-        let scored = self.completed.iter().map(|&m| (self.score(m.cand, self.now), m));
+        let scored = self.waiting_matches().map(|m| (self.score(m.cand, self.now), m));
         let (_, best) = scored.max_by(|&a, &b| Self::rank(a, b))?;
         let patience = 2 * self.trie.max_candidate_len();
         let best_len = (best.end - best.start) as usize;
@@ -1010,12 +1127,12 @@ impl TraceReplayer {
     }
 
     fn min_start_by_scan(&self) -> u64 {
-        self.completed.iter().map(|c| c.start).min().unwrap_or(u64::MAX)
+        self.completed.iter().map(|(_, start)| start).min().unwrap_or(u64::MAX)
     }
 
     fn keep_from_by_scan(&self) -> u64 {
         let starts = self.cursors.iter().map(|c| c.start);
-        starts.chain(self.completed.iter().map(|c| c.start)).min().unwrap_or(self.now)
+        starts.chain(self.completed.iter().map(|(_, start)| start)).min().unwrap_or(self.now)
     }
 
     /// `decide` by full scans only: the oracle the shortcut proptests pin
@@ -1046,7 +1163,6 @@ impl TraceReplayer {
 
         // Advance cursors (including a fresh one starting here).
         let mut survivors = Vec::with_capacity(self.cursors.len() + 1);
-        let mut newly_completed = Vec::new();
         let candidates_exist = !self.trie.is_empty();
         let mut all = std::mem::take(&mut self.cursors);
         if candidates_exist {
@@ -1055,11 +1171,7 @@ impl TraceReplayer {
         for cur in all {
             if let Some(next) = self.trie.step(cur.node, hash) {
                 if let Some(cand) = self.trie.terminal(next) {
-                    newly_completed.push(CompletedMatch {
-                        cand,
-                        start: cur.start,
-                        end: global + 1,
-                    });
+                    self.completed.push(cand, cur.start);
                     self.min_completed_start = self.min_completed_start.min(cur.start);
                     let m = &mut self.meta[cand.0 as usize];
                     m.count = m.count.saturating_add(1);
@@ -1072,7 +1184,6 @@ impl TraceReplayer {
             }
         }
         self.cursors = survivors;
-        self.completed.extend(newly_completed);
 
         self.decide(sink)
     }
@@ -1129,8 +1240,8 @@ impl TraceReplayer {
 
         // Drop cursors and matches overlapping the consumed interval.
         self.cursors.retain(|c| c.start >= m.end);
-        self.completed.retain(|c| c.start >= m.end);
-        self.min_completed_start = self.min_start_by_scan();
+        self.completed.drop_before(m.end);
+        self.min_completed_start = self.completed.min_start();
         Ok(())
     }
 }

@@ -5,7 +5,15 @@ use std::convert::Infallible;
 
 thread_local! {
     /// `score()` evaluations made by `best_completed` on this thread.
-    pub(super) static SCORE_EVALS: Cell<u64> = const { Cell::new(0) };
+    static SCORE_EVALS: Cell<u64> = const { Cell::new(0) };
+    /// Waiting matches `best_completed` looked at on this thread.
+    static MATCHES_EXAMINED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `best_completed` looked at one waiting match, and scored it.
+pub(super) fn count_examined_match() {
+    MATCHES_EXAMINED.with(|n| n.set(n.get() + 1));
+    SCORE_EVALS.with(|n| n.set(n.get() + 1));
 }
 
 /// Records the forwarded event stream.
@@ -593,6 +601,54 @@ fn misordered_or_stray_cursors_rejected() {
     assert!(matches!(restore(&r), Err(SnapshotError::Corrupt(_))), "stale meta accepted");
 }
 
+/// Images whose waiting matches break what the per-candidate queues rely
+/// on. Every case below restored `Ok(())` before the checks existed; the
+/// short window would later bracket one task under a two-task candidate's
+/// trace id.
+#[test]
+fn corrupt_completed_matches_rejected() {
+    let config = cfg(2);
+    let mut r = TraceReplayer::new(&config);
+    r.ingest(&batch_of(&[&[1, 2], &[1, 2, 1, 2, 1, 2, 3]]));
+    let mut s = EventSink::default();
+    // The long candidate's cursor defers both [1,2] matches.
+    feed(&mut r, &mut s, &[1, 2, 1, 2]);
+    assert_eq!((r.completed.len(), r.pending.len()), (2, 4));
+    let payload = |r: &TraceReplayer| {
+        let mut w = SnapshotWriter::new();
+        r.write_snapshot(&mut w);
+        w.into_payload()
+    };
+    let restore = |payload: &[u8]| {
+        TraceReplayer::restore_snapshot(&config, &mut SnapshotReader::new(payload)).map(|_| ())
+    };
+    let good = payload(&r);
+    assert_eq!(restore(&good), Ok(()), "the untouched image restores");
+    // The two matches are the 20-byte records `(cand u32, start, end)`
+    // after the sequence length; find them by their content.
+    let record = |cand: u32, start: u64, end: u64| {
+        [&cand.to_le_bytes()[..], &start.to_le_bytes(), &end.to_le_bytes()].concat()
+    };
+    let (first, second) = (record(0, 0, 2), record(0, 2, 4));
+    let pair = [first.clone(), second.clone()].concat();
+    let at = good.windows(pair.len()).position(|w| w == pair).expect("both records, in order");
+    let splice = |records: &[&[u8]]| {
+        let mut image = good.clone();
+        image.splice(at..at + pair.len(), records.concat());
+        image
+    };
+    assert_eq!(restore(&splice(&[&first, &second])), Ok(()), "the splice itself is faithful");
+    let cases: [(&str, Vec<u8>); 4] = [
+        ("end shortened by one", splice(&[&first, &record(0, 2, 3)])),
+        ("end lengthened by one", splice(&[&record(0, 0, 3), &second])),
+        ("descending (end, start)", splice(&[&second, &first])),
+        ("one match listed twice", splice(&[&first, &first])),
+    ];
+    for (what, image) in cases {
+        assert!(matches!(restore(&image), Err(SnapshotError::Corrupt(_))), "{what}: accepted");
+    }
+}
+
 /// The wire format did not move: this scenario's envelope (trie with
 /// 0/1/many-child nodes, a free-listed node and a tombstoned slot, three
 /// cursors, one waiting match, five buffered tasks) was digested at the
@@ -621,6 +677,17 @@ fn snapshot_envelope_digest_is_pinned() {
     assert_eq!((envelope.len(), digest), (1271, 0x336b_a5c4_3c0f_f403));
 }
 
+/// Length and digest of `r`'s snapshot inside an auto envelope.
+fn envelope_of(r: &TraceReplayer) -> (usize, u64) {
+    let mut w = SnapshotWriter::new();
+    r.write_snapshot(&mut w);
+    let mut envelope = Vec::new();
+    let tag = tasksim::snapshot::FRONT_END_AUTO;
+    tasksim::snapshot::write_envelope(tag, &w.into_payload(), &mut envelope).unwrap();
+    let digest = u64::from_le_bytes(envelope[envelope.len() - 8..].try_into().unwrap());
+    (envelope.len(), digest)
+}
+
 /// The full-scan oracle: the frozen reference step plus `decide` by full
 /// scans — the complete pre-shortcut pipeline.
 fn oracle(config: &Config) -> TraceReplayer {
@@ -634,10 +701,11 @@ fn oracle(config: &Config) -> TraceReplayer {
 /// long candidate in lock-step with hundreds of others, completing a
 /// short prefix every few steps, while the oldest cursor blocks every
 /// verdict — so waiting matches pile up over a pending buffer > 1 000
-/// deep. Scoring must not notice: at most one `score()` per distinct
-/// candidate per verdict, none while deferred.
+/// deep. A verdict must not notice: it examines (and scores) at most one
+/// waiting match per distinct candidate that has one — the front of that
+/// candidate's queue — and none while deferred.
 #[test]
-fn deep_pending_buffer_scores_per_candidate_not_per_match() {
+fn deep_pending_buffer_verdicts_examine_one_match_per_candidate() {
     let motif = |reps: usize| -> Vec<u32> { [1, 2, 3].repeat(reps) };
     let contents: Vec<Vec<u32>> = [400, 1, 2, 4, 8, 16, 32].map(motif).to_vec();
     let refs: Vec<&[u32]> = contents.iter().map(Vec::as_slice).collect();
@@ -646,22 +714,49 @@ fn deep_pending_buffer_scores_per_candidate_not_per_match() {
     fast.ingest(&batch_of(&refs));
     slow.ingest(&batch_of(&refs));
     let (mut sf, mut ss) = (EventSink::default(), EventSink::default());
-    let (mut deferred_tasks, mut verdicts) = (0u64, 0u64);
+    let (mut deferred_tasks, mut verdicts, mut peak_waiting) = (0u64, 0u64, 0usize);
     for &k in &motif(1500) {
         let (evals, traces) = (SCORE_EVALS.get(), fast.stats.traces_issued);
+        let examined = MATCHES_EXAMINED.get();
+        // Candidates that can have a waiting match when a verdict of this
+        // task is reached: those that have one already, and those this
+        // task completes (every completion bumps the candidate's count).
+        let mut may_wait: Vec<bool> =
+            (0u32..).zip(&fast.meta).map(|(i, _)| fast.completed.has(CandidateId(i))).collect();
+        let counts: Vec<u32> = fast.meta.iter().map(|m| m.count).collect();
         fast.on_task(task(k), hash(k), &mut sf).unwrap();
         slow.on_task(task(k), hash(k), &mut ss).unwrap();
         let evals = SCORE_EVALS.get() - evals;
+        let examined = MATCHES_EXAMINED.get() - examined;
         let replays = fast.stats.traces_issued - traces;
         assert!(
             evals <= (replays + 1) * contents.len() as u64,
             "{evals} score() calls for {replays} replays over {} waiting matches",
             fast.completed.len()
         );
+        for ((may, m), before) in may_wait.iter_mut().zip(&fast.meta).zip(counts) {
+            *may |= m.count != before;
+        }
+        let waiting_cands = may_wait.iter().filter(|&&may| may).count() as u64;
+        assert!(
+            examined <= (replays + 1) * waiting_cands,
+            "{examined} matches examined for {replays} replays: {waiting_cands} candidates \
+             wait, {} matches",
+            fast.completed.len()
+        );
+        let deferred = fast.cursors.first().is_some_and(|c| c.start <= fast.min_completed_start);
+        assert!(!deferred || replays > 0 || examined == 0, "{examined} examined while deferred");
+        peak_waiting = peak_waiting.max(fast.completed.len());
         deferred_tasks += u64::from(evals == 0 && !fast.completed.is_empty());
         verdicts += u64::from(evals > 0);
     }
     assert!(fast.stats.peak_pending_tasks > 1000, "{:?}", fast.stats);
+    assert!(peak_waiting > 1000, "only {peak_waiting} matches ever waited at once");
+    // The queues materialise in the order the flat list they replaced
+    // held: this image, 1 743 matches waiting, was digested at the commit
+    // before the queues.
+    assert_eq!(fast.completed.len(), 1743);
+    assert_eq!(envelope_of(&fast), (111_305, 0xb8a0_d2ad_9392_f6ba));
     assert!(deferred_tasks > 3000 && verdicts > 0, "{deferred_tasks} deferred, {verdicts} scored");
     fast.flush(&mut sf).unwrap();
     slow.flush(&mut ss).unwrap();
@@ -730,8 +825,9 @@ mod proptests {
         /// inputs: random candidate sets ingested at random cuts under
         /// a random candidate cap (so evictions and compactions land
         /// mid-match), over a periodic stream with random noise. Events,
-        /// stats, the runtime's op digest and the final snapshot bytes
-        /// must all be equal.
+        /// stats, the runtime's op digest and the snapshot bytes at every
+        /// ingest cut (where matches wait behind blocked verdicts) and at
+        /// the end must all be equal.
         #[test]
         fn shortcut_verdicts_match_full_scans(
             motif in proptest::collection::vec(1u32..5, 2..6),
@@ -773,10 +869,16 @@ mod proptests {
                 stream: &[u32],
                 cuts: &[(usize, MinedBatch)],
                 batched: bool,
-            ) -> Vec<u8>
+            ) -> Vec<Vec<u8>>
             where
                 S::Error: std::fmt::Debug,
             {
+                let image = |r: &TraceReplayer| {
+                    let mut w = SnapshotWriter::new();
+                    r.write_snapshot(&mut w);
+                    w.into_payload()
+                };
+                let mut images = Vec::new();
                 let mut from = 0;
                 for (at, batch) in cuts {
                     let mut run: Vec<_> = stream[from..*at].iter().map(|&k| (task(k), hash(k))).collect();
@@ -786,16 +888,16 @@ mod proptests {
                     for (desc, h) in run {
                         r.on_task(desc, h, sink).unwrap();
                     }
+                    images.push(image(r));
                     r.ingest(batch);
                     from = *at;
                 }
                 for &k in &stream[from..] {
                     r.on_task(task(k), hash(k), sink).unwrap();
                 }
-                let mut w = SnapshotWriter::new();
-                r.write_snapshot(&mut w);
+                images.push(image(r));
                 r.flush(sink).unwrap();
-                w.into_payload()
+                images
             }
 
             let (mut fast, mut slow) = (TraceReplayer::new(&config), oracle(&config));
@@ -804,7 +906,14 @@ mod proptests {
             let ps = drive(&mut slow, &mut ss, &stream, &cuts, false);
             prop_assert_eq!(sf.events, ss.events);
             prop_assert_eq!(fast.stats(), slow.stats());
-            prop_assert_eq!(pf, ps);
+            prop_assert_eq!(&pf, &ps);
+            // Restore accepts waiting matches only in strictly ascending
+            // `(end, start)` order: every image was written in it.
+            for image in &pf {
+                let restored =
+                    TraceReplayer::restore_snapshot(&config, &mut SnapshotReader::new(image));
+                prop_assert!(restored.is_ok(), "{:?}", restored.err());
+            }
 
             let rt = || Runtime::new(RuntimeConfig::single_node(1).with_auto_layer());
             let (mut fast, mut slow) = (TraceReplayer::new(&config), oracle(&config));

@@ -295,6 +295,18 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
     snap::write_envelope(tag, &payload, &mut hostile).unwrap();
     assert!(matches!(expect_snapshot_err(&hostile), SnapshotError::Corrupt(_)));
 
+    // A waiting match one task shorter than its candidate, again behind
+    // a valid digest: its replay would bracket the wrong tasks under the
+    // candidate's trace id, so restore refuses it.
+    let (pristine, at) = waiting_match_bytes();
+    let (tag, mut payload) = snap::read_envelope(&mut pristine.as_slice()).unwrap();
+    let end = word_at(&payload, at + 8 + 12);
+    payload[at + 8 + 12..at + 8 + 20].copy_from_slice(&(end - 1).to_le_bytes());
+    let mut hostile = Vec::new();
+    snap::write_envelope(tag, &payload, &mut hostile).unwrap();
+    assert!(matches!(expect_snapshot_err(&hostile), SnapshotError::Corrupt(_)));
+    assert!(Session::resume_from(&mut pristine.as_slice()).is_ok());
+
     // And the pristine bytes still restore.
     assert!(Session::resume_from(&mut bytes.as_slice()).is_ok());
 }
@@ -332,6 +344,47 @@ fn splice_hostile_batch(payload: &mut Vec<u8>, at: usize, prefix: &[u64]) {
     let batch = [0, 1, 4, 11, 12, 13, 14, 1, u64::MAX, 4]; // job, [content, occurrences], end
     let words = [1].iter().chain(prefix).chain(&batch);
     payload.splice(at..at + 8, words.flat_map(|w| w.to_le_bytes()));
+}
+
+/// An auto checkpoint cut at an iteration boundary where the replayer
+/// holds at least one completed match awaiting a verdict, and the offset
+/// of its waiting-match list in the payload. The list — a count, then
+/// `(candidate u32, start u64, end u64)` records — sits between the
+/// pending buffer, whose last task carries global index `now − 1`, and
+/// the retired trace ids, the next trace id and `now` itself; the
+/// replayer has seen every task issued, which fixes `now`.
+fn waiting_match_bytes() -> (Vec<u8>, usize) {
+    let mut issuer = build(Tracing::Auto(small_auto()), LogRetention::Full);
+    for iter in 0..ITERS {
+        drive_range(issuer.as_mut(), false, iter, iter + 1);
+        let now = ((iter + 1) * 9 + (iter + 1) / 5) as u64;
+        let mut bytes = Vec::new();
+        issuer.checkpoint(&mut bytes).unwrap();
+        let (_, payload) = snap::read_envelope(&mut bytes.as_slice()).unwrap();
+        let is_list = |at: usize| {
+            let count = word_at(&payload, at).min(65) as usize;
+            let records = at + 8;
+            let retired = records + 20 * count;
+            if !(1..=64).contains(&count) || retired + 8 > payload.len() {
+                return false;
+            }
+            let tail = retired + 8 + 4 * word_at(&payload, retired).min(64) as usize + 4;
+            word_at(&payload, at - 8) == now - 1
+                && tail + 8 <= payload.len()
+                && word_at(&payload, tail) == now
+                && (0..count).all(|i| {
+                    let (start, end) = (records + 20 * i + 4, records + 20 * i + 12);
+                    word_at(&payload, start) < word_at(&payload, end)
+                        && word_at(&payload, end) <= now
+                })
+        };
+        let mut hits = (8..payload.len() - 8).filter(|&at| is_list(at));
+        if let Some(at) = hits.next() {
+            assert!(hits.next().is_none(), "waiting-match signature is unique");
+            return (bytes, at);
+        }
+    }
+    panic!("no iteration boundary with a waiting match");
 }
 
 /// A distributed checkpoint cut where the last node's pending-batch

@@ -8,7 +8,12 @@
 //!   token rejected by the trie's dense root map and forwarded straight
 //!   to the sink;
 //! * **mid-replay** — a single cursor walking a memoized candidate chain
-//!   while the pending buffer cycles inside its warmed capacity.
+//!   while the pending buffer cycles inside its warmed capacity;
+//! * **deferred** — the paper's Figure 1 stream: hundreds of cursors in
+//!   lock-step along one long candidate, short prefixes of it completing
+//!   all the while and queueing behind a blocked verdict, until one replay
+//!   drains them. The per-candidate queues keep their capacity across the
+//!   drain, so a warm defer → replay cycle allocates nothing.
 //!
 //! Mining has a contract of the same kind: a warm synchronous
 //! [`TraceFinder`] mining slices within its resident bound allocates
@@ -169,6 +174,40 @@ fn steady_states_are_allocation_free() {
         512,
         "every measured occurrence replayed"
     );
+
+    // --- Deferred verdicts, then the replay that drains them ---------------
+    // A period-3 stream against one long candidate and its short prefixes:
+    // every third task spawns a cursor, each completes a short prefix every
+    // few steps, and the oldest cursor blocks every verdict until the long
+    // candidate completes — 1 200 tasks per cycle, > 1 000 matches waiting.
+    const PERIOD: [u32; 3] = [1, 2, 3];
+    const LONG: usize = 400;
+    let motif = |reps: usize| MinedCandidate {
+        content: PERIOD.repeat(reps).iter().map(|&k| task(k).1).collect(),
+        occurrences: vec![0],
+    };
+    let mut replayer = TraceReplayer::new(&config);
+    replayer.ingest(&MinedBatch {
+        job: 0,
+        candidates: [LONG, 2, 4, 8, 16, 32].map(motif).into(),
+        slice_end: 0,
+    });
+    let stream = PERIOD.repeat(LONG);
+    let mut cycle = |replayer: &mut TraceReplayer| {
+        for &k in &stream {
+            let (desc, hash) = task(k);
+            replayer.on_task(desc, hash, &mut sink).unwrap();
+        }
+    };
+    // Warm up: one full defer → replay cycle.
+    cycle(&mut replayer);
+    let warm = replayer.stats();
+    assert_eq!((warm.traces_issued, warm.pending_tasks), (1, 0), "one cycle, drained: {warm:?}");
+    assert!(warm.peak_pending_tasks > 1000, "verdicts were deferred: {warm:?}");
+    let allocs = allocations_in(|| cycle(&mut replayer));
+    assert_eq!(allocs, 0, "a warm defer → replay cycle allocated {allocs} times");
+    let stats = replayer.stats();
+    assert_eq!((stats.traces_issued, stats.pending_tasks), (2, 0), "the measured cycle replayed");
 }
 
 /// Feeds `tokens` to `finder`, polling after every token the way the
