@@ -2,7 +2,7 @@
 
 use apophenia::{AutoTracer, Config};
 use tasksim::cost::Micros;
-use tasksim::ids::{RegionId, TaskKindId};
+use tasksim::ids::TaskKindId;
 use tasksim::issuer::TaskIssuer;
 use tasksim::runtime::RuntimeConfig;
 use tasksim::task::TaskDesc;
@@ -386,96 +386,6 @@ pub fn run_streaming_soak(
         peak_retained: log_stats.peak_retained,
         replayed_fraction: stats.replayed_fraction(),
         iterations: artifacts.report.iteration_finish.len(),
-        total_us: artifacts.report.total.0,
-    }
-}
-
-/// One run of the checkpoint soak: either the uninterrupted reference or
-/// the killed-and-resumed run. The two must agree on every output field —
-/// the soak's whole point.
-#[derive(Debug, Clone)]
-pub struct CheckpointSoakRow {
-    /// Configuration label (`straight`, `resumed`).
-    pub label: &'static str,
-    /// Tasks issued over the whole run.
-    pub tasks: u64,
-    /// Task index the run was killed and checkpointed at (0 = never).
-    pub kill_at: u64,
-    /// Snapshot size in bytes (0 for the uninterrupted run).
-    pub snapshot_bytes: usize,
-    /// Final order-sensitive op-stream digest.
-    pub digest: u64,
-    /// Iterations the report resolved.
-    pub iterations: usize,
-    /// Fraction of tasks replayed.
-    pub replayed_fraction: f64,
-    /// Simulated completion time (µs) — compared bit-for-bit.
-    pub total_us: f64,
-}
-
-/// Drives the capped, drained repeating-motif stream (the
-/// [`run_streaming_soak`] workload) through a `Session`, optionally
-/// killing it at `kill_at` tasks: the session is checkpointed to bytes,
-/// dropped, restored via `Session::resume_from` in what stands in for a
-/// fresh process, and driven to completion. The resumed run must be
-/// bit-identical to the uninterrupted one (totals, digest, iterations).
-pub fn run_checkpoint_soak(
-    label: &'static str,
-    tasks: usize,
-    kill_at: usize,
-    motif_len: usize,
-) -> CheckpointSoakRow {
-    use apophenia::{Session, Tracing};
-    use tasksim::exec::LogRetention;
-    let build = || {
-        Session::builder()
-            .tracing(Tracing::Auto(lifecycle_capped_config()))
-            .log_retention(LogRetention::Drain)
-            .build()
-    };
-    let issue = |issuer: &mut dyn TaskIssuer, range: std::ops::Range<usize>| {
-        for i in range {
-            let kind = TaskKindId((i % motif_len) as u32);
-            issuer
-                .execute_task(
-                    TaskDesc::new(kind)
-                        .reads(RegionId(0))
-                        .writes(RegionId(1))
-                        .gpu_time(Micros(20.0)),
-                )
-                .expect("soak stream issues cleanly");
-            if i % motif_len == motif_len - 1 {
-                issuer.mark_iteration();
-            }
-        }
-    };
-    let mut issuer = build();
-    issuer.create_region(1);
-    issuer.create_region(1);
-    let mut snapshot_bytes = 0usize;
-    if kill_at > 0 && kill_at < tasks {
-        issue(issuer.as_mut(), 0..kill_at);
-        let mut bytes = Vec::new();
-        issuer.checkpoint(&mut bytes).expect("checkpoint mid-soak");
-        snapshot_bytes = bytes.len();
-        drop(issuer); // the "kill"
-        issuer = Session::resume_from(&mut bytes.as_slice()).expect("resume mid-soak");
-        issue(issuer.as_mut(), kill_at..tasks);
-    } else {
-        issue(issuer.as_mut(), 0..tasks);
-    }
-    issuer.flush().expect("flush");
-    let digest = issuer.op_digest();
-    let stats = issuer.stats();
-    let artifacts = issuer.finish().expect("finish");
-    CheckpointSoakRow {
-        label,
-        tasks: stats.tasks_total,
-        kill_at: kill_at as u64,
-        snapshot_bytes,
-        digest,
-        iterations: artifacts.report.iteration_finish.len(),
-        replayed_fraction: stats.replayed_fraction(),
         total_us: artifacts.report.total.0,
     }
 }

@@ -1,8 +1,7 @@
 //! Plain-text rendering of experiment results.
 
 use crate::experiments::{
-    CheckpointSoakRow, LifecycleRow, MiningThroughputRow, OverheadReport, ScalingFigure,
-    StreamingSoakRow, WarmupRow,
+    LifecycleRow, MiningThroughputRow, OverheadReport, ScalingFigure, StreamingSoakRow, WarmupRow,
 };
 use std::fmt::Write as _;
 
@@ -141,34 +140,6 @@ pub fn render_trace_lifecycle(rows: &[LifecycleRow]) -> String {
             r.peak_templates,
             r.templates_evicted,
             coverage.join(" ")
-        );
-    }
-    out
-}
-
-/// Renders the `checkpoint_soak` table: an uninterrupted drained run vs
-/// the same run killed mid-stream, checkpointed, and resumed — every
-/// output column must agree between the two rows.
-pub fn render_checkpoint_soak(rows: &[CheckpointSoakRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Checkpoint/restore soak (kill → resume, bit-identical continuation)");
-    let _ = writeln!(
-        out,
-        "{:>9} {:>10} {:>9} {:>11} {:>18} {:>8} {:>9} {:>14}",
-        "config", "tasks", "killAt", "snapBytes", "digest", "iters", "replayed", "simTotal(s)"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>9} {:>10} {:>9} {:>11} {:>18x} {:>8} {:>8.0}% {:>14.3}",
-            r.label,
-            r.tasks,
-            r.kill_at,
-            r.snapshot_bytes,
-            r.digest,
-            r.iterations,
-            r.replayed_fraction * 100.0,
-            r.total_us / 1e6
         );
     }
     out

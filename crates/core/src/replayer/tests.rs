@@ -649,10 +649,11 @@ fn corrupt_completed_matches_rejected() {
     }
 }
 
-/// The wire format did not move: this scenario's envelope (trie with
+/// The wire format did not move: this scenario's payload (trie with
 /// 0/1/many-child nodes, a free-listed node and a tombstoned slot, three
-/// cursors, one waiting match, five buffered tasks) was digested at the
-/// commit before the trie dropped its per-node hash maps.
+/// cursors, one waiting match, five buffered tasks) was fingerprinted at
+/// the commit before the trie dropped its per-node hash maps, and its
+/// envelope's own digest when the envelope moved to format v6.
 #[test]
 fn snapshot_envelope_digest_is_pinned() {
     let mut r = TraceReplayer::new(&cfg(2).with_max_candidates(5));
@@ -668,24 +669,44 @@ fn snapshot_envelope_digest_is_pinned() {
     feed(&mut r, &mut s, &[9, 1, 2, 5, 1, 6, 1, 2, 3, 4, 1, 2, 3]);
     assert_eq!((r.cursors.len(), r.completed.len(), r.pending.len()), (3, 1, 5));
     assert_eq!((r.stats.evicted_candidates, r.trie.free_node_count()), (1, 1));
-    let mut w = SnapshotWriter::new();
-    r.write_snapshot(&mut w);
-    let mut envelope = Vec::new();
-    let tag = tasksim::snapshot::FRONT_END_AUTO;
-    tasksim::snapshot::write_envelope(tag, &w.into_payload(), &mut envelope).unwrap();
+    assert_eq!(envelope_of(&r), (1271, 0x336b_a5c4_3c0f_f403));
+    let envelope = sealed(&r);
     let digest = u64::from_le_bytes(envelope[envelope.len() - 8..].try_into().unwrap());
-    assert_eq!((envelope.len(), digest), (1271, 0x336b_a5c4_3c0f_f403));
+    assert_eq!(digest, ENVELOPE_DIGEST_V6);
 }
 
-/// Length and digest of `r`'s snapshot inside an auto envelope.
-fn envelope_of(r: &TraceReplayer) -> (usize, u64) {
+/// The v6 envelope digest of [`snapshot_envelope_digest_is_pinned`]'s
+/// 1 271-byte image.
+const ENVELOPE_DIGEST_V6: u64 = 0x5f35_0d70_a8fa_ded2;
+
+/// The byte-serial FNV-1a the envelope carried up to format v5, kept to
+/// fingerprint payload bytes: a pin taken with it at an older commit
+/// still holds exactly when no payload byte moved.
+fn fnv1a_reference(tag: u8, payload: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in std::iter::once(&tag).chain(payload) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `r`'s snapshot sealed in an auto envelope.
+fn sealed(r: &TraceReplayer) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     r.write_snapshot(&mut w);
     let mut envelope = Vec::new();
     let tag = tasksim::snapshot::FRONT_END_AUTO;
     tasksim::snapshot::write_envelope(tag, &w.into_payload(), &mut envelope).unwrap();
-    let digest = u64::from_le_bytes(envelope[envelope.len() - 8..].try_into().unwrap());
-    (envelope.len(), digest)
+    envelope
+}
+
+/// Length of `r`'s auto envelope, and the [`fnv1a_reference`]
+/// fingerprint of its tag and payload.
+fn envelope_of(r: &TraceReplayer) -> (usize, u64) {
+    let envelope = sealed(r);
+    let (tag, payload) = tasksim::snapshot::read_envelope(&mut envelope.as_slice()).unwrap();
+    (envelope.len(), fnv1a_reference(tag, &payload))
 }
 
 /// The full-scan oracle: the frozen reference step plus `decide` by full

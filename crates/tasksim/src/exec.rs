@@ -841,6 +841,35 @@ impl SimPipeline {
         self.peak_retained = self.peak_retained.max(self.retained());
         self.peak_deferred = self.peak_deferred.max(self.deferred());
     }
+
+    /// The relations between cursors, queues and histories that `feed`
+    /// indexes by: `analyzed_ops ≤ app_next ≤ fed` with `pending` holding
+    /// exactly the ops in between analysis and the stream end, one launch
+    /// per task up to `app_next`, one analysis per task up to
+    /// `analyzed_ops`, and every analyzed task either executed or queued.
+    /// A restored image that breaks one would index out of `pending` or
+    /// read a clock entry that was never pushed.
+    fn check_cursors(&self) -> Result<(), &'static str> {
+        if self.analyzed_ops.checked_add(self.pending.len() as u64) != Some(self.fed) {
+            return Err("pipeline cursors disagree with the fed-op count");
+        }
+        if !(self.analyzed_ops..=self.fed).contains(&self.app_next) {
+            return Err("application cursor outside the analyzed..fed range");
+        }
+        let ahead = (self.app_next - self.analyzed_ops) as usize;
+        let launched_ahead =
+            self.pending.iter().take(ahead).filter(|op| matches!(op, SimOp::Task { .. })).count();
+        if self.analysis_done.len().checked_add(launched_ahead as u64) != Some(self.app_done.len())
+        {
+            return Err("launch and analysis histories disagree with the application cursor");
+        }
+        if self.done.len().checked_add(self.exec_queue.len() as u64)
+            != Some(self.analysis_done.len())
+        {
+            return Err("executed and queued tasks disagree with the analysis history");
+        }
+        Ok(())
+    }
 }
 
 impl Snapshot for History {
@@ -852,7 +881,13 @@ impl Snapshot for History {
 
 impl Restore for History {
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Self { base: r.get_u64()?, buf: r.get_deque(|r| Ok(Micros(r.get_f64()?)))? })
+        let h = Self { base: r.get_u64()?, buf: r.get_deque(|r| Ok(Micros(r.get_f64()?)))? };
+        // `trim` always keeps the newest entry, which is what lets `get`
+        // answer every index below `len`.
+        if (h.base > 0 && h.buf.is_empty()) || h.base.checked_add(h.buf.len() as u64).is_none() {
+            return Err(SnapshotError::Corrupt("clock history without its newest entry".into()));
+        }
+        Ok(h)
     }
 }
 
@@ -945,11 +980,7 @@ impl Restore for SimPipeline {
         p.fed = r.get_u64()?;
         p.peak_retained = r.get_len()?;
         p.peak_deferred = r.get_len()?;
-        if p.analyzed_ops + p.pending.len() as u64 != p.fed {
-            return Err(SnapshotError::Corrupt(
-                "pipeline cursors disagree with the fed-op count".into(),
-            ));
-        }
+        p.check_cursors().map_err(|what| SnapshotError::Corrupt(what.into()))?;
         Ok(p)
     }
 }
@@ -1299,6 +1330,53 @@ mod tests {
         assert!(log.ops().len() > 10 * bound, "stream long enough to prove the point");
         let streaming = p.finalize();
         assert_eq!(streaming, simulate_batch_reference(&log));
+    }
+
+    /// Images whose cursors and clock histories disagree. The digest is not
+    /// a MAC, so each could arrive behind a valid one; each keeps
+    /// `analyzed_ops + pending == fed`, and the next `feed` would index
+    /// past `pending` or read a clock entry that was never pushed.
+    #[test]
+    fn hostile_pipeline_images_rejected() {
+        let log = gated_replay_log(8, 6, 4);
+        let mut p = SimPipeline::new(*log.config());
+        // Stop inside a trace: its gated head waits in `pending` behind
+        // launches the application stage has already made.
+        for op in &log.ops()[..log.ops().len() - 3] {
+            p.feed(op);
+        }
+        assert_eq!((p.pending.len(), p.app_next - p.analyzed_ops), (2, 2));
+        assert!(p.app_done.oldest() > 0 && p.done.len() > 0);
+        let restore = |p: &SimPipeline| {
+            let mut w = SnapshotWriter::new();
+            p.snapshot(&mut w);
+            let payload = w.into_payload();
+            SimPipeline::restore(&mut SnapshotReader::new(&payload)).map(|_| ())
+        };
+        assert_eq!(restore(&p), Ok(()), "the untouched image restores");
+        type Edit = fn(&mut SimPipeline);
+        let cases: [(&str, Edit); 7] = [
+            ("application cursor behind analysis", |p| p.app_next = p.analyzed_ops - 1),
+            ("application cursor past the stream", |p| p.app_next = p.fed + 1),
+            ("application cursor one op short", |p| p.app_next -= 1),
+            ("a launch missing", |p| p.app_done.base -= 1),
+            ("an analysis too many", |p| p.analysis_done.push(p.analysis_t)),
+            ("an executed task queued again", |p| {
+                p.exec_queue.push_back(ExecTask { gpu_time: Micros(1.0), exec_gate: None })
+            }),
+            ("a history emptied but for its count", |p| {
+                p.done.base = p.done.len();
+                p.done.buf.clear();
+            }),
+        ];
+        for (what, edit) in cases {
+            let mut hostile = p.clone();
+            edit(&mut hostile);
+            assert!(
+                matches!(restore(&hostile), Err(SnapshotError::Corrupt(_))),
+                "{what}: accepted"
+            );
+        }
     }
 
     #[test]

@@ -16,12 +16,29 @@
 //!
 //! ```text
 //! magic "APSN" | format version (u32 LE) | front-end tag (u8)
-//! payload length (u64 LE) | payload bytes | FNV-1a digest (u64 LE)
+//! payload length (u64 LE) | payload bytes | digest (u64 LE)
 //! ```
 //!
-//! The digest folds the front-end tag and every payload byte, so a
-//! flipped bit anywhere after the length field is rejected with a typed
-//! [`SnapshotError`] instead of silently restoring divergent state.
+//! The digest seeds itself with the front-end tag and the payload
+//! length, then folds the payload a 32-byte stripe at a time: four
+//! independent 64-bit lanes each take one little-endian word per stripe
+//! through `h = rotl((h ^ w) · K, 29)` with `K` odd. The tail below one
+//! stripe is folded a byte at a time, and the lanes are folded in order
+//! at the end. For a fixed word every step is a bijection of the lane
+//! state, and for a fixed state a bijection of the word, so **any one
+//! corrupted 8-byte word (or tail byte, or trailer bit) always changes
+//! the digest**: a flipped bit anywhere after the length field is
+//! rejected with a typed [`SnapshotError`] instead of silently restoring
+//! divergent state. The rotation keeps the same bit flipped in two words
+//! of one lane from cancelling, which a plain word-wise FNV allows for
+//! bit 63. The lanes are independent, so the fold runs at memory speed
+//! rather than one dependent multiply per byte.
+//!
+//! The digest is a corruption check, **not a MAC**: anyone can re-seal
+//! edited bytes with a valid digest. The structural checks every
+//! [`Restore`] implementation makes are the trust boundary — a hostile
+//! image must fail with [`SnapshotError::Corrupt`], never panic later.
+//!
 //! Within the payload, integers are fixed-width little-endian, `f64`s are
 //! written via [`f64::to_bits`] (bit-exact across save/restore — the
 //! simulation clocks must not drift by a ULP), sequences are
@@ -54,7 +71,9 @@ pub const MAGIC: [u8; 4] = *b"APSN";
 /// v5: the winnowing pre-filter left with its `Config::winnow_prefilter`
 /// byte and the finder's `jobs_prefiltered` word — the mining kernel
 /// leaves repeat-free slices exactly and earlier.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6: the envelope digest became the word-parallel lane fold (seeded
+/// with the tag and the payload length); payload bytes are unchanged.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Front-end tag: a bare [`crate::runtime::Runtime`] (untraced or
 /// manually annotated).
@@ -153,19 +172,33 @@ impl CheckpointMeta {
     }
 }
 
-/// FNV-1a over raw bytes — the envelope's corruption check. Kept local so
-/// the codec stays dependency-free (the same constants as
-/// [`crate::task::TaskDesc::semantic_hash`]).
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// One lane step of the envelope digest: a bijection of `h` for a fixed
+/// `w` and of `w` for a fixed `h` (xor, multiply by an odd constant,
+/// rotate).
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The envelope's corruption check (see the module docs): four lanes over
+/// 32-byte stripes, seeded with the front-end tag and the payload length,
+/// the sub-stripe tail folded byte-wise, the lanes folded in order.
+fn envelope_digest(front_end: u8, payload: &[u8]) -> u64 {
+    let seed = mix(mix(0xcbf2_9ce4_8422_2325, u64::from(front_end)), payload.len() as u64);
+    let mut lanes = [mix(seed, 0), mix(seed, 1), mix(seed, 2), mix(seed, 3)];
+    let (stripes, tail) = payload.as_chunks::<32>();
+    for stripe in stripes {
+        let (words, _) = stripe.as_chunks::<8>();
+        for (h, w) in lanes.iter_mut().zip(words) {
+            *h = mix(*h, u64::from_le_bytes(*w));
+        }
+    }
+    let h = lanes.into_iter().fold(seed, mix);
+    tail.iter().fold(h, |h, &b| mix(h, u64::from(b)))
+}
+
+/// Bytes the first payload read of [`read_envelope`] allocates; later
+/// reads double what has arrived.
+const FIRST_READ: usize = 1 << 20;
 
 /// Serializes a payload: field-at-a-time writes into an in-memory buffer,
 /// flushed as one envelope by [`write_envelope`].
@@ -427,8 +460,7 @@ pub fn write_envelope(
     out.write_all(&[front_end])?;
     out.write_all(&(payload.len() as u64).to_le_bytes())?;
     out.write_all(payload)?;
-    let digest = fnv1a(fnv1a(FNV_OFFSET, &[front_end]), payload);
-    out.write_all(&digest.to_le_bytes())?;
+    out.write_all(&envelope_digest(front_end, payload).to_le_bytes())?;
     out.flush()?;
     Ok(())
 }
@@ -485,20 +517,23 @@ pub fn read_envelope(input: &mut dyn Read) -> Result<(u8, Vec<u8>), SnapshotErro
     let mut len = [0u8; 8];
     input.read_exact(&mut len)?;
     let len = u64::from_le_bytes(len);
-    // The length field is untrusted until the digest verifies: read
-    // through a limiter so a corrupted length yields `Truncated` instead
-    // of attempting one huge up-front allocation.
+    // The length field is untrusted until the digest verifies: each read
+    // asks for at most what has already arrived (1 MiB at first), so a
+    // corrupted length yields `Truncated` after allocating about twice
+    // the bytes actually delivered, never one huge up-front reservation.
+    // Each byte is read straight into the payload buffer, with no
+    // intermediate copy.
     let mut payload = Vec::new();
-    let mut limited = input.take(len);
-    limited.read_to_end(&mut payload)?;
-    if (payload.len() as u64) < len {
-        return Err(SnapshotError::Truncated);
+    while (payload.len() as u64) < len {
+        let have = payload.len();
+        let left = usize::try_from(len - have as u64).unwrap_or(usize::MAX);
+        let grow = have.max(FIRST_READ).min(left);
+        payload.resize(have + grow, 0);
+        input.read_exact(&mut payload[have..])?;
     }
-    let input = limited.into_inner();
     let mut digest = [0u8; 8];
     input.read_exact(&mut digest)?;
-    let expect = fnv1a(fnv1a(FNV_OFFSET, &tag), &payload);
-    if u64::from_le_bytes(digest) != expect {
+    if u64::from_le_bytes(digest) != envelope_digest(tag[0], &payload) {
         return Err(SnapshotError::DigestMismatch);
     }
     Ok((tag[0], payload))
@@ -596,6 +631,102 @@ mod tests {
             read_envelope(&mut future.as_slice()),
             Err(SnapshotError::UnsupportedVersion(u32::from_le_bytes([0xff, 0, 0, 0])))
         );
+    }
+
+    /// Bytes before the payload: magic, version, tag, length.
+    const HEADER: usize = 17;
+
+    fn envelope(front_end: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_envelope(front_end, payload, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// A deterministic, non-repeating payload of `n` bytes.
+    fn payload_of(n: usize) -> Vec<u8> {
+        (0..n as u64).map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8).collect()
+    }
+
+    #[test]
+    fn payloads_across_the_stripe_tail_round_trip() {
+        for n in 0..=96 {
+            let payload = payload_of(n);
+            let bytes = envelope(FRONT_END_DISTRIBUTED, &payload);
+            assert_eq!(bytes.len(), HEADER + n + 8);
+            let (tag, back) = read_envelope(&mut bytes.as_slice()).unwrap();
+            assert_eq!((tag, back), (FRONT_END_DISTRIBUTED, payload), "{n} bytes");
+        }
+    }
+
+    #[test]
+    fn same_bit_in_two_words_of_one_lane_is_caught() {
+        // Stripes are 32 bytes, so words 4 apart share a lane. A plain
+        // word-wise FNV lets two bit-63 flips in one lane cancel.
+        let payload = payload_of(8 * 32 + 5);
+        let bytes = envelope(FRONT_END_AUTO, &payload);
+        for lane in 0..4 {
+            for (first, second) in [(0, 1), (0, 7), (3, 4), (6, 7)] {
+                for bit in 0..64 {
+                    let mut corrupt = bytes.clone();
+                    for stripe in [first, second] {
+                        let at = HEADER + 32 * stripe + 8 * lane + bit / 8;
+                        corrupt[at] ^= 1 << (bit % 8);
+                    }
+                    assert_eq!(
+                        read_envelope(&mut corrupt.as_slice()),
+                        Err(SnapshotError::DigestMismatch),
+                        "lane {lane}, stripes {first} and {second}, bit {bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tag_seeds_the_digest() {
+        for n in [0, 1, 31, 32, 33, 100] {
+            let payload = payload_of(n);
+            let digests: Vec<u64> =
+                (0..=u8::MAX).map(|tag| envelope_digest(tag, &payload)).collect();
+            let mut distinct = digests.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), digests.len(), "{n} bytes: two tags share a digest");
+        }
+    }
+
+    #[test]
+    fn v5_envelopes_are_rejected_by_version() {
+        let mut bytes = envelope(FRONT_END_AUTO, b"payload");
+        bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+        assert_eq!(read_envelope(&mut bytes.as_slice()), Err(SnapshotError::UnsupportedVersion(5)));
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any single bit flipped after the length field — in the
+            /// payload's stripes, its tail, or the trailer — is caught.
+            #[test]
+            fn any_single_bit_flip_after_the_length_is_caught(
+                payload in proptest::collection::vec(any::<u8>(), 0..160),
+                tag in any::<u8>(),
+                bit_sel in any::<u32>(),
+            ) {
+                let mut bytes = envelope(tag, &payload);
+                let bits = (bytes.len() - HEADER) * 8;
+                let bit = bit_sel as usize % bits;
+                bytes[HEADER + bit / 8] ^= 1 << (bit % 8);
+                prop_assert_eq!(
+                    read_envelope(&mut bytes.as_slice()),
+                    Err(SnapshotError::DigestMismatch)
+                );
+            }
+        }
     }
 
     #[test]

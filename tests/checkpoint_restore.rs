@@ -12,9 +12,12 @@
 //!   the bit) and the same op-stream digest as the run that never
 //!   stopped.
 //! * Taking a checkpoint must not perturb the run that keeps going.
+//! * On a long capped, drained stream, repeated kills and resumes change
+//!   nothing, and the snapshot stays O(window + caps).
 //! * Corrupt, truncated, retagged, or future-versioned snapshots are
 //!   rejected with typed [`SnapshotError`]s, never a panic or a silently
-//!   divergent restore.
+//!   divergent restore — including hostile images re-sealed behind a
+//!   valid digest.
 
 use apophenia::{Config, DelayModel, Session, SnapshotError, Tracing};
 use tasksim::cost::Micros;
@@ -197,6 +200,87 @@ fn immediate_recheckpoint_is_byte_identical() {
     assert_eq!(bytes, again, "canonical encoding: restore ∘ checkpoint = identity");
 }
 
+/// The restartable-run contract on a long stream: a capped, drained
+/// repeating-motif stream killed twice, each time checkpointed, dropped
+/// and resumed from the bytes, finishes exactly as the run that never
+/// stopped — and the snapshot does not grow with the tasks already
+/// processed. Both cuts lie past the 30 000-task clock window, where the
+/// engine state is O(window + caps). What still grows is a few per-
+/// iteration records (the report's iteration finish times, the warmup
+/// history) and the capacity series until it decimates: ≈ 2 bytes per
+/// task, where one retained op or frontier entry would cost over 20.
+/// The motif writes both regions: a region that is only ever read keeps
+/// every reader in the analyzer's frontier.
+#[test]
+fn killed_and_resumed_soak_is_bit_identical() {
+    const MOTIF: usize = 10;
+    const TASKS: usize = 42_000;
+    const KILLS: [usize; 2] = [32_000, 40_000];
+    let issue = |issuer: &mut dyn TaskIssuer, range: std::ops::Range<usize>| {
+        for i in range {
+            let k = i % MOTIF;
+            let (src, dst) = if k.is_multiple_of(2) { (0, 1) } else { (1, 0) };
+            issuer
+                .execute_task(
+                    TaskDesc::new(TaskKindId(k as u32))
+                        .reads(RegionId(src))
+                        .writes(RegionId(dst))
+                        .gpu_time(Micros(20.0)),
+                )
+                .unwrap();
+            if i % MOTIF == MOTIF - 1 {
+                issuer.mark_iteration();
+            }
+        }
+    };
+    // Runs the stream, killing it at each of `kills`; returns the final
+    // digest, stats and report, and each snapshot's size.
+    let run = |kills: &[usize]| {
+        let mut issuer = Session::builder()
+            .tracing(Tracing::Auto(bench::lifecycle_capped_config()))
+            .log_retention(LogRetention::Drain)
+            .build();
+        issuer.create_region(1);
+        issuer.create_region(1);
+        let (mut from, mut sizes) = (0, Vec::new());
+        for &kill in kills {
+            issue(issuer.as_mut(), from..kill);
+            let mut bytes = Vec::new();
+            issuer.checkpoint(&mut bytes).unwrap();
+            sizes.push(bytes.len());
+            drop(issuer);
+            issuer = Session::resume_from(&mut bytes.as_slice()).unwrap();
+            from = kill;
+        }
+        issue(issuer.as_mut(), from..TASKS);
+        issuer.flush().unwrap();
+        let digest = issuer.op_digest();
+        let artifacts = issuer.finish().unwrap();
+        (digest, artifacts.stats, artifacts.report, sizes)
+    };
+    let (digest, stats, report, _) = run(&[]);
+    let (resumed_digest, resumed_stats, resumed_report, sizes) = run(&KILLS);
+    assert_eq!(resumed_digest, digest, "op-stream digest survives the kills");
+    assert_eq!(resumed_stats.tasks_total, TASKS as u64);
+    assert_eq!(resumed_report.iteration_finish.len(), TASKS / MOTIF);
+    assert_eq!(resumed_report, report, "iterations and clocks survive the kills");
+    assert_eq!(resumed_report.total.0.to_bits(), report.total.0.to_bits());
+    assert_eq!(
+        resumed_stats.replayed_fraction().to_bits(),
+        stats.replayed_fraction().to_bits(),
+        "tracing decisions survive the kills"
+    );
+    assert!(stats.replayed_fraction() > 0.5, "the stream was traced: {stats:?}");
+    let grown = sizes[1].saturating_sub(sizes[0]);
+    assert!(
+        grown < 3 * (KILLS[1] - KILLS[0]),
+        "snapshot grew {} → {} bytes over {} tasks: engine state is leaking into it",
+        sizes[0],
+        sizes[1],
+        KILLS[1] - KILLS[0]
+    );
+}
+
 #[test]
 fn meta_describes_the_cut() {
     let mut issuer = build(
@@ -248,9 +332,8 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
     retagged[8] = snap::FRONT_END_RUNTIME;
     assert_eq!(expect_snapshot_err(&retagged), SnapshotError::DigestMismatch);
 
-    // Bad magic, future versions and the previous version (v4 payloads
-    // carry one more configuration byte and one more finder word) are
-    // typed.
+    // Bad magic, future versions and the previous version (v5 envelopes
+    // carry the byte-serial digest) are typed.
     let mut bad_magic = bytes.clone();
     bad_magic[0] = b'Z';
     assert_eq!(expect_snapshot_err(&bad_magic), SnapshotError::BadMagic);
@@ -258,8 +341,8 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
     future[4] = 0x7f;
     assert!(matches!(expect_snapshot_err(&future), SnapshotError::UnsupportedVersion(_)));
     let mut previous = bytes.clone();
-    previous[4] = 4;
-    assert_eq!(expect_snapshot_err(&previous), SnapshotError::UnsupportedVersion(4));
+    previous[4] = 5;
+    assert_eq!(expect_snapshot_err(&previous), SnapshotError::UnsupportedVersion(5));
 
     // A well-formed envelope with an unknown front-end tag.
     let mut unknown = Vec::new();
@@ -302,6 +385,18 @@ fn corrupt_and_truncated_snapshots_are_rejected_with_typed_errors() {
     let (tag, mut payload) = snap::read_envelope(&mut pristine.as_slice()).unwrap();
     let end = word_at(&payload, at + 8 + 12);
     payload[at + 8 + 12..at + 8 + 20].copy_from_slice(&(end - 1).to_le_bytes());
+    let mut hostile = Vec::new();
+    snap::write_envelope(tag, &payload, &mut hostile).unwrap();
+    assert!(matches!(expect_snapshot_err(&hostile), SnapshotError::Corrupt(_)));
+    assert!(Session::resume_from(&mut pristine.as_slice()).is_ok());
+
+    // A drained pipeline whose application cursor sits one op behind its
+    // analysis cursor, behind a valid digest: the fed-op count still adds
+    // up, but the next task would index before the deferral queue.
+    let (pristine, at) = pipeline_cursor_bytes();
+    let (tag, mut payload) = snap::read_envelope(&mut pristine.as_slice()).unwrap();
+    let behind = word_at(&payload, at) - 1;
+    payload[at..at + 8].copy_from_slice(&behind.to_le_bytes());
     let mut hostile = Vec::new();
     snap::write_envelope(tag, &payload, &mut hostile).unwrap();
     assert!(matches!(expect_snapshot_err(&hostile), SnapshotError::Corrupt(_)));
@@ -385,6 +480,36 @@ fn waiting_match_bytes() -> (Vec<u8>, usize) {
         }
     }
     panic!("no iteration boundary with a waiting match");
+}
+
+/// A drained auto checkpoint and the offset of its pipeline's application
+/// cursor in the payload. At a cut where no op waits behind a gate the
+/// cursor equals the fed-op count (the checkpoint's `ops_pushed`) and is
+/// followed by the analysis clock and busy time, the analysis history
+/// (base, count, entries), the empty deferral queue and the analysis
+/// cursor — the fed-op count again.
+fn pipeline_cursor_bytes() -> (Vec<u8>, usize) {
+    let mut issuer = build(Tracing::Auto(small_auto()), LogRetention::Drain);
+    for iter in 0..ITERS {
+        drive_range(issuer.as_mut(), false, iter, iter + 1);
+        let mut bytes = Vec::new();
+        let fed = issuer.checkpoint(&mut bytes).unwrap().ops_pushed;
+        let (_, payload) = snap::read_envelope(&mut bytes.as_slice()).unwrap();
+        let is_cursor = |at: usize| {
+            let entries = word_at(&payload, at + 32).min(payload.len() as u64) as usize;
+            let queue = at + 40 + 8 * entries;
+            queue + 16 <= payload.len()
+                && word_at(&payload, at) == fed
+                && word_at(&payload, queue) == 0
+                && word_at(&payload, queue + 8) == fed
+        };
+        let mut hits = (0..payload.len() - 40).filter(|&at| is_cursor(at));
+        if let Some(at) = hits.next() {
+            assert!(hits.next().is_none(), "pipeline-cursor signature is unique");
+            return (bytes, at);
+        }
+    }
+    panic!("no iteration boundary with an empty deferral queue");
 }
 
 /// A distributed checkpoint cut where the last node's pending-batch

@@ -20,9 +20,14 @@
 //! inside `record()` exactly the batches it hands back — nothing at all
 //! on a stream that holds no repeat.
 //!
+//! The snapshot envelope reader has a bound of its own: before the digest
+//! verifies, it allocates for the bytes that actually arrive, never for
+//! the length field's claim.
+//!
 //! A counting `#[global_allocator]` wrapper measures heap allocations
-//! (alloc / alloc_zeroed / realloc) across thousands of steady-state
-//! tasks and asserts the count is exactly zero. Arming and counting are
+//! (alloc / alloc_zeroed / realloc, with the bytes each asks for) across
+//! thousands of steady-state tasks and asserts the count is exactly zero.
+//! Arming and counting are
 //! *per-thread* (const-initialized TLS, no destructor, so the allocator
 //! may probe it safely): harness threads allocating concurrently — the
 //! other test of this file included — cannot pollute the measurement.
@@ -32,6 +37,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::convert::Infallible;
 use tasksim::ids::{TaskKindId, TraceId};
+use tasksim::snapshot;
 use tasksim::task::{TaskDesc, TaskHash};
 
 /// Forwards to the system allocator, counting allocations made by a
@@ -41,28 +47,30 @@ struct CountingAlloc;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation if this thread is armed.
-fn count() {
+/// Counts one allocation of `size` bytes if this thread is armed.
+fn count(size: usize) {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -76,11 +84,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Counts heap allocations performed by `f` on this thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
+    allocated_in(f).0
+}
+
+/// Heap allocations performed by `f` on this thread, and the bytes they
+/// asked for (a reallocation counts its new size).
+fn allocated_in(f: impl FnOnce()) -> (u64, u64) {
     ALLOCS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.with(Cell::get)
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 /// A sink that discards everything (the replayer's own cost in
@@ -315,4 +330,21 @@ fn warm_mining_allocates_only_what_it_returns() {
             }
         }
     }
+}
+
+#[test]
+fn lying_envelope_length_is_not_trusted_with_an_allocation() {
+    // A header claiming a 1 TiB payload, followed by 10 bytes: the reader
+    // allocates for what arrives (1 MiB at first), not for the claim.
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&snapshot::MAGIC);
+    bytes.extend_from_slice(&snapshot::FORMAT_VERSION.to_le_bytes());
+    bytes.push(snapshot::FRONT_END_AUTO);
+    bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    bytes.extend_from_slice(&[0xa5; 10]);
+    let mut result = None;
+    let (_, allocated) =
+        allocated_in(|| result = Some(snapshot::read_envelope(&mut bytes.as_slice())));
+    assert_eq!(result, Some(Err(snapshot::SnapshotError::Truncated)));
+    assert!(allocated < 2 << 20, "allocated {allocated} bytes for a 10-byte payload");
 }
