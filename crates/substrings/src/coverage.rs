@@ -13,9 +13,10 @@
 //! This module gives the objective a concrete, testable form. It also
 //! provides [`max_coverage_upper_bound`], a dynamic program that computes
 //! the best possible coverage achievable by *any* trace set (each interval
-//! must be an occurrence of a substring that repeats somewhere in `S`) —
-//! used by tests and the ablation benches to measure how far the greedy
-//! miner of [`crate::repeats`] lands from optimal.
+//! must be an occurrence of a substring that repeats somewhere in `S`).
+//! Only this module's own tests call it today, as the reference bound a
+//! greedy matching must not exceed; no bench measures the gap between
+//! the miner of [`crate::repeats`] and optimal yet.
 
 use crate::{Interval, Token};
 use std::collections::HashMap;

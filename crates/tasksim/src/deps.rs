@@ -16,7 +16,7 @@
 //! ordered after the entry, so transitivity preserves all orderings).
 //! Readers and reductions accumulate until retired.
 
-use crate::ids::{OpId, RegionId};
+use crate::ids::{IdHash, OpId, RegionId};
 use crate::region::RegionForest;
 use crate::snapshot::{Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::task::{RegionRequirement, TaskDesc};
@@ -44,11 +44,12 @@ struct Frontier {
 }
 
 /// The dependence analyzer. Feed it tasks in program order with
-/// [`DependenceAnalyzer::analyze`]; it returns each task's predecessors.
+/// [`DependenceAnalyzer::analyze_into`]; it writes each task's
+/// predecessors into a caller-owned buffer.
 #[derive(Debug, Default)]
 pub struct DependenceAnalyzer {
     /// Frontier of users, keyed by region-tree root.
-    frontiers: HashMap<RegionId, Frontier>,
+    frontiers: HashMap<RegionId, Frontier, IdHash>,
 }
 
 impl DependenceAnalyzer {
@@ -58,9 +59,27 @@ impl DependenceAnalyzer {
     }
 
     /// Analyzes `task` as operation `op`, returning its dependence edges
-    /// (sorted, deduplicated op ids of earlier tasks it must follow).
+    /// (sorted, deduplicated op ids of earlier tasks it must follow) in a
+    /// fresh vector. [`Self::analyze_into`] reuses a buffer instead.
     pub fn analyze(&mut self, op: OpId, task: &TaskDesc, forest: &RegionForest) -> Vec<OpId> {
-        let mut preds: Vec<OpId> = Vec::new();
+        let mut preds = Vec::new();
+        self.analyze_into(op, task, forest, &mut preds);
+        preds
+    }
+
+    /// Analyzes `task` as operation `op`, replacing the contents of
+    /// `preds` with its dependence edges (sorted, deduplicated op ids of
+    /// earlier tasks it must follow). A buffer reused across tasks keeps
+    /// its capacity, so a warm analysis allocates only when a frontier
+    /// grows.
+    pub fn analyze_into(
+        &mut self,
+        op: OpId,
+        task: &TaskDesc,
+        forest: &RegionForest,
+        preds: &mut Vec<OpId>,
+    ) {
+        preds.clear();
         for req in &task.requirements {
             let root = forest.root(req.region);
             let frontier = self.frontiers.entry(root).or_default();
@@ -73,13 +92,13 @@ impl DependenceAnalyzer {
                 }
             };
             for user in &frontier.others {
-                scan(user, &mut preds);
+                scan(user, preds);
             }
             let is_read = req.privilege == crate::privilege::Privilege::ReadOnly;
             if !is_read {
                 // Read/read pairs never conflict, so reads skip this scan.
                 for user in &frontier.readers {
-                    scan(user, &mut preds);
+                    scan(user, preds);
                 }
             }
             // Retirement: a writer that covers an entry dominates it.
@@ -101,7 +120,6 @@ impl DependenceAnalyzer {
         preds.dedup();
         // A task never depends on itself (it may use the same region twice).
         preds.retain(|&p| p != op);
-        preds
     }
 
     /// Clears all frontier state (used at shard boundaries in tests).
@@ -150,7 +168,7 @@ impl Restore for DependenceAnalyzer {
             let readers = restore_users(r)?;
             Ok((root, Frontier { others, readers }))
         })?;
-        let mut frontiers = HashMap::with_capacity(entries.len());
+        let mut frontiers = HashMap::with_capacity_and_hasher(entries.len(), IdHash::default());
         for (root, frontier) in entries {
             if frontiers.insert(root, frontier).is_some() {
                 return Err(SnapshotError::Corrupt(format!("duplicate frontier for {root}")));
@@ -424,6 +442,29 @@ mod tests {
             reach
         }
 
+        /// A forest with one partitioned tree and one task per spec entry:
+        /// a requirement of the drawn privilege plus a read.
+        fn stream(spec: &[(u8, u8, u8)]) -> (RegionForest, Vec<TaskDesc>) {
+            let mut forest = RegionForest::new();
+            let top = forest.create_region(1);
+            let parts = forest.partition(top, 3).unwrap();
+            let regions = [top, parts[0], parts[1], parts[2]];
+            let tasks = spec
+                .iter()
+                .map(|&(priv_k, r1, r2)| {
+                    let p = match priv_k {
+                        0 => Privilege::ReadOnly,
+                        1 => Privilege::ReadWrite,
+                        _ => Privilege::WriteDiscard,
+                    };
+                    TaskDesc::new(TaskKindId(0))
+                        .with_requirement(RegionRequirement::new(regions[r1 as usize], p))
+                        .reads(regions[r2 as usize])
+                })
+                .collect();
+            (forest, tasks)
+        }
+
         proptest! {
             /// The frontier analysis preserves exactly the orderings of the
             /// naive quadratic analysis (up to transitive closure).
@@ -431,31 +472,29 @@ mod tests {
             fn agrees_with_naive_up_to_transitivity(
                 spec in proptest::collection::vec((0u8..3, 0u8..4, 0u8..4), 1..40)
             ) {
-                let mut forest = RegionForest::new();
-                let top = forest.create_region(1);
-                let parts = forest.partition(top, 3).unwrap();
-                let regions = [top, parts[0], parts[1], parts[2]];
-                let tasks: Vec<TaskDesc> = spec
-                    .iter()
-                    .map(|&(priv_k, r1, r2)| {
-                        let p = match priv_k {
-                            0 => Privilege::ReadOnly,
-                            1 => Privilege::ReadWrite,
-                            _ => Privilege::WriteDiscard,
-                        };
-                        TaskDesc::new(TaskKindId(0))
-                            .with_requirement(RegionRequirement::new(
-                                regions[r1 as usize],
-                                p,
-                            ))
-                            .reads(regions[r2 as usize])
-                    })
-                    .collect();
+                let (forest, tasks) = stream(&spec);
                 let mut an = DependenceAnalyzer::new();
                 let preds = run(&mut an, &forest, &tasks);
                 let got = closure_of_edges(&preds);
                 let expect = naive_closure(&forest, &tasks);
                 prop_assert_eq!(got, expect);
+            }
+
+            /// Analysing into one reused buffer — never cleared by the
+            /// caller, so it arrives holding the previous task's edges and
+            /// stale capacity — yields exactly the fresh-vector edges.
+            #[test]
+            fn analyze_into_a_dirty_buffer_matches_analyze(
+                spec in proptest::collection::vec((0u8..3, 0u8..4, 0u8..4), 1..40)
+            ) {
+                let (forest, tasks) = stream(&spec);
+                let expect = run(&mut DependenceAnalyzer::new(), &forest, &tasks);
+                let mut an = DependenceAnalyzer::new();
+                let mut buf = vec![OpId(u64::MAX); 17];
+                for (i, task) in tasks.iter().enumerate() {
+                    an.analyze_into(OpId(i as u64), task, &forest, &mut buf);
+                    prop_assert_eq!(&buf, &expect[i]);
+                }
             }
         }
     }

@@ -162,11 +162,21 @@ impl OpLog {
     /// Appends an operation: always counted and folded into the digest,
     /// stored only under [`LogRetention::Full`].
     pub fn push(&mut self, op: LogOp) {
+        self.push_or_return(op);
+    }
+
+    /// [`Self::push`], handing back the operation when the retention
+    /// policy does not store it ([`LogRetention::Drain`]) so the caller
+    /// can reuse its buffers.
+    pub(crate) fn push_or_return(&mut self, op: LogOp) -> Option<LogOp> {
         self.pushed += 1;
         self.digest = fold_op(self.digest, &op);
         if self.config.retention == LogRetention::Full {
             self.ops.push(op);
             self.peak_retained = self.peak_retained.max(self.ops.len());
+            None
+        } else {
+            Some(op)
         }
     }
 

@@ -20,7 +20,7 @@
 use crate::cost::{AnalysisKind, CostModel, Micros};
 use crate::deps::DependenceAnalyzer;
 use crate::exec::{simulate, LogOp, LogRetention, LogStats, OpLog, SimPipeline, TaskRecord};
-use crate::ids::{OpId, RegionId, TraceId};
+use crate::ids::{IdHash, OpId, RegionId, TraceId};
 use crate::issuer::RunArtifacts;
 use crate::region::{RegionError, RegionForest};
 use crate::snapshot::{Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -347,14 +347,22 @@ pub struct Runtime {
     config: RuntimeConfig,
     forest: RegionForest,
     analyzer: DependenceAnalyzer,
-    templates: HashMap<TraceId, TraceTemplate>,
+    templates: HashMap<TraceId, TraceTemplate, IdHash>,
     /// Per-template utility hints pushed by the layer above (the trace
     /// replayer's §4.3 candidate scores): the shared signal that keeps
     /// template eviction and candidate eviction agreeing about what is
     /// hot. A template with no hint (manual tracing, no replayer) ranks
     /// above every hinted one and falls back to the replays/LRU key.
-    score_hints: HashMap<TraceId, f64>,
+    score_hints: HashMap<TraceId, f64, IdHash>,
     state: TraceState,
+    /// The current task's dependence edges: fresh analysis writes them
+    /// here, a replay rebuilds the memoized ones in place. Under
+    /// [`LogRetention::Drain`] the buffer rides along with the op and
+    /// comes back from the log, so a warm task path allocates nothing.
+    edges: Vec<OpId>, // snapshot: derived (scratch, rewritten every task)
+    /// The op-id list of the last finished trace, kept for its capacity:
+    /// the next `begin_trace` records or replays into it.
+    spare_trace_ops: Vec<OpId>, // snapshot: derived (scratch, cleared on use)
     log: OpLog,
     /// The incremental simulator every operation streams into under
     /// [`LogRetention::Drain`] (`None` under [`LogRetention::Full`], where
@@ -371,9 +379,11 @@ impl Runtime {
             config,
             forest: RegionForest::new(),
             analyzer: DependenceAnalyzer::new(),
-            templates: HashMap::new(),
-            score_hints: HashMap::new(),
+            templates: HashMap::default(),
+            score_hints: HashMap::default(),
             state: TraceState::Idle,
+            edges: Vec::new(),
+            spare_trace_ops: Vec::new(),
             log: OpLog::new(config),
             pipeline,
             stats: RuntimeStats::default(),
@@ -431,18 +441,18 @@ impl Runtime {
 
         // Always run the analyzer (see module docs): keeps frontier state
         // exact across traced and untraced stretches.
-        let fresh_preds = self.analyzer.analyze(op, &task, &self.forest);
+        self.analyzer.analyze_into(op, &task, &self.forest, &mut self.edges);
 
         match std::mem::replace(&mut self.state, TraceState::Idle) {
             TraceState::Idle => {
                 self.state = TraceState::Idle;
                 self.stats.tasks_fresh += 1;
-                self.push_task(hash, AnalysisKind::Fresh, &task, fresh_preds, false, None, None, 0);
+                self.push_task(hash, AnalysisKind::Fresh, &task, false, None, None, 0);
             }
             TraceState::Recording { id, mut ops, mut hashes, mut preds, mut gpu_times } => {
                 let mut internal = Vec::new();
                 let mut external = false;
-                for p in &fresh_preds {
+                for p in &self.edges {
                     match ops.binary_search(p) {
                         Ok(idx) => internal.push(idx),
                         Err(_) => external = true,
@@ -454,27 +464,14 @@ impl Runtime {
                 ops.push(op);
                 self.state = TraceState::Recording { id, ops, hashes, preds, gpu_times };
                 self.stats.tasks_recorded += 1;
-                self.push_task(
-                    hash,
-                    AnalysisKind::Recording,
-                    &task,
-                    fresh_preds,
-                    false,
-                    None,
-                    None,
-                    0,
-                );
+                self.push_task(hash, AnalysisKind::Recording, &task, false, None, None, 0);
             }
             TraceState::Replaying { id, pos, mut ops, head_task } => {
                 let template = &self.templates[&id];
                 if pos >= template.len() {
-                    return self.replay_violation(
-                        TraceError::ReplayOverrun { id, len: template.len() },
-                        id,
-                        hash,
-                        &task,
-                        fresh_preds,
-                    );
+                    let err = TraceError::ReplayOverrun { id, len: template.len() };
+                    self.spare_trace_ops = ops;
+                    return self.replay_violation(err, id, hash, &task);
                 }
                 if template.hashes[pos] != hash {
                     let err = TraceError::SequenceMismatch {
@@ -483,14 +480,36 @@ impl Runtime {
                         expected: template.hashes[pos],
                         got: hash,
                     };
-                    return self.replay_violation(err, id, hash, &task, fresh_preds);
+                    self.spare_trace_ops = ops;
+                    return self.replay_violation(err, id, hash, &task);
                 }
                 let head_task = if pos == 0 { self.stats.tasks_total } else { head_task };
-                // Reconstruct memoized edges: internal relative edges index
-                // the op ids of the tasks replayed so far, plus the trace
-                // fence for external dependences.
                 let tpl = &template.preds[pos];
-                let mut preds: Vec<OpId> = tpl.internal.iter().map(|&i| ops[i]).collect();
+                // Trace-validity invariant: every memoized internal edge is
+                // an edge fresh analysis computes (§2's validity condition,
+                // checked). Templates may store FEWER edges when transitive
+                // reduction is enabled; they must never store edges the
+                // fresh analysis would not produce. External edges may
+                // differ — that is the point of the fence. (`ops` and the
+                // fresh edges are sorted, so internal edge `e` is fresh iff
+                // `ops[e]` is among them; the check allocates nothing.)
+                debug_assert!(
+                    tpl.internal
+                        .iter()
+                        .all(|&e| ops.get(e).is_some_and(|o| self.edges.binary_search(o).is_ok()))
+                        && (self.config.transitive_reduction
+                            || self
+                                .edges
+                                .iter()
+                                .filter_map(|p| ops.binary_search(p).ok())
+                                .all(|e| tpl.internal.contains(&e))),
+                    "memoized intra-trace edges diverge from fresh analysis at pos {pos}"
+                );
+                // Reconstruct memoized edges over the fresh ones: internal
+                // relative edges index the op ids of the tasks replayed so
+                // far, plus the trace fence for external dependences.
+                self.edges.clear();
+                self.edges.extend(tpl.internal.iter().map(|&i| ops[i]));
                 // The whole replay sits behind a trace fence (Legion's
                 // begin-fence): the head op always depends on the previous
                 // op — recording-time boundary conditions say nothing about
@@ -498,26 +517,10 @@ impl Runtime {
                 // external deps re-attaches to the fence as well.
                 let fence = ops.first().map_or(op, |h| *h);
                 if (pos == 0 || tpl.external) && fence.0 > 0 {
-                    preds.push(OpId(fence.0 - 1));
+                    self.edges.push(OpId(fence.0 - 1));
                 }
-                preds.sort_unstable();
-                preds.dedup();
-                // Trace-validity invariant: every memoized internal edge is
-                // an edge fresh analysis computes (§2's validity condition,
-                // checked). Templates may store FEWER edges when transitive
-                // reduction is enabled; they must never store edges the
-                // fresh analysis would not produce. External edges may
-                // differ — that is the point of the fence.
-                debug_assert!(
-                    {
-                        let internal_fresh: Vec<usize> =
-                            fresh_preds.iter().filter_map(|p| ops.binary_search(p).ok()).collect();
-                        tpl.internal.iter().all(|e| internal_fresh.contains(e))
-                            && (self.config.transitive_reduction
-                                || internal_fresh.iter().all(|e| tpl.internal.contains(e)))
-                    },
-                    "memoized intra-trace edges diverge from fresh analysis at pos {pos}"
-                );
+                self.edges.sort_unstable();
+                self.edges.dedup();
                 let replay_head = pos == 0;
                 // The global task number of the trace's last task. Gates are
                 // expressed in task numbers, which iteration marks cannot
@@ -526,15 +529,14 @@ impl Runtime {
                 // §5.2: Apophenia does not speculate — the whole trace must
                 // arrive from the application before the replay is issued.
                 let gate = (self.config.auto_layer && replay_head).then_some(tail_task);
+                let tlen = template.len() as u32;
                 ops.push(op);
                 self.state = TraceState::Replaying { id, pos: pos + 1, ops, head_task };
                 self.stats.tasks_replayed += 1;
-                let tlen = template.len() as u32;
                 self.push_task(
                     hash,
                     AnalysisKind::Replayed,
                     &task,
-                    preds,
                     replay_head,
                     gate,
                     // Legion instantiates the whole template before the
@@ -546,7 +548,7 @@ impl Runtime {
             TraceState::Poisoned { id } => {
                 self.state = TraceState::Poisoned { id };
                 self.stats.tasks_fresh += 1;
-                self.push_task(hash, AnalysisKind::Fresh, &task, fresh_preds, false, None, None, 0);
+                self.push_task(hash, AnalysisKind::Fresh, &task, false, None, None, 0);
             }
         }
         Ok(op)
@@ -580,12 +582,14 @@ impl Runtime {
                 return Err(TraceError::NestedTrace { active: *active, attempted: id }.into());
             }
         }
+        let mut ops = std::mem::take(&mut self.spare_trace_ops);
+        ops.clear();
         self.state = if self.templates.contains_key(&id) {
-            TraceState::Replaying { id, pos: 0, ops: Vec::new(), head_task: 0 }
+            TraceState::Replaying { id, pos: 0, ops, head_task: 0 }
         } else {
             TraceState::Recording {
                 id,
-                ops: Vec::new(),
+                ops,
                 hashes: Vec::new(),
                 preds: Vec::new(),
                 gpu_times: Vec::new(),
@@ -605,7 +609,8 @@ impl Runtime {
     pub fn end_trace(&mut self, id: TraceId) -> Result<(), RuntimeError> {
         match std::mem::replace(&mut self.state, TraceState::Idle) {
             TraceState::Idle => Err(TraceError::EndWithoutBegin(id).into()),
-            TraceState::Recording { id: active, hashes, preds, gpu_times, .. } => {
+            TraceState::Recording { id: active, ops, hashes, preds, gpu_times } => {
+                self.spare_trace_ops = ops;
                 if active != id {
                     return Err(TraceError::WrongTraceId { active, got: id }.into());
                 }
@@ -632,7 +637,8 @@ impl Runtime {
                 }
                 Ok(())
             }
-            TraceState::Replaying { id: active, pos, .. } => {
+            TraceState::Replaying { id: active, pos, ops, .. } => {
+                self.spare_trace_ops = ops;
                 if active != id {
                     return Err(TraceError::WrongTraceId { active, got: id }.into());
                 }
@@ -696,12 +702,13 @@ impl Runtime {
 
     /// Routes one operation per the retention policy: into the attached
     /// pipeline under [`LogRetention::Drain`] (the log still counts and
-    /// digests it), stored in the log under [`LogRetention::Full`].
-    fn append(&mut self, op: LogOp) {
+    /// digests it, then hands it back), stored in the log under
+    /// [`LogRetention::Full`].
+    fn append(&mut self, op: LogOp) -> Option<LogOp> {
         if let Some(pipeline) = &mut self.pipeline {
             pipeline.feed(&op);
         }
-        self.log.push(op);
+        self.log.push_or_return(op)
     }
 
     /// Records the tracing layer's utility score for the trace recorded
@@ -901,7 +908,6 @@ impl Runtime {
         id: TraceId,
         hash: TaskHash,
         task: &TaskDesc,
-        fresh_preds: Vec<OpId>,
     ) -> Result<OpId, RuntimeError> {
         self.stats.mismatches += 1;
         match self.config.mismatch_policy {
@@ -914,7 +920,7 @@ impl Runtime {
                 self.state = TraceState::Poisoned { id };
                 let op = self.log.next_op();
                 self.stats.tasks_fresh += 1;
-                self.push_task(hash, AnalysisKind::Fresh, task, fresh_preds, false, None, None, 0);
+                self.push_task(hash, AnalysisKind::Fresh, task, false, None, None, 0);
                 // The op id was consumed before the violation; re-issue.
                 Ok(OpId(op.0))
             }
@@ -968,7 +974,8 @@ impl Runtime {
             let id = TraceId(r.get_u32()?);
             Ok((id, TraceTemplate::restore(r)?))
         })?;
-        let mut templates = HashMap::with_capacity(template_list.len());
+        let mut templates =
+            HashMap::with_capacity_and_hasher(template_list.len(), IdHash::default());
         for (id, t) in template_list {
             if templates.insert(id, t).is_some() {
                 return Err(SnapshotError::Corrupt(format!("duplicate template for {id}")));
@@ -998,22 +1005,41 @@ impl Runtime {
                 return Err(SnapshotError::Corrupt("replay cursor past its template".into()));
             }
         }
-        Ok(Self { config, forest, analyzer, templates, score_hints, state, log, pipeline, stats })
+        Ok(Self {
+            config,
+            forest,
+            analyzer,
+            templates,
+            score_hints,
+            state,
+            edges: Vec::new(),
+            spare_trace_ops: Vec::new(),
+            log,
+            pipeline,
+            stats,
+        })
     }
 
+    /// Logs the current task with `edges` as its dependence edges.
+    /// Under [`LogRetention::Full`] the stored record gets an exact-size
+    /// copy, so the log holds no spare capacity; under
+    /// [`LogRetention::Drain`] the buffer itself rides along and comes back.
     #[allow(clippy::too_many_arguments)]
     fn push_task(
         &mut self,
         hash: TaskHash,
         analysis: AnalysisKind,
         task: &TaskDesc,
-        preds: Vec<OpId>,
         replay_head: bool,
         forward_gate: Option<u64>,
         exec_gate: Option<u64>,
         trace_len: u32,
     ) {
-        self.append(LogOp::Task(TaskRecord {
+        let preds = match self.config.retention {
+            LogRetention::Full => self.edges.to_vec(),
+            LogRetention::Drain => std::mem::take(&mut self.edges),
+        };
+        let unstored = self.append(LogOp::Task(TaskRecord {
             hash,
             analysis,
             gpu_time: task.gpu_time,
@@ -1023,6 +1049,9 @@ impl Runtime {
             exec_gate,
             trace_len,
         }));
+        if let Some(LogOp::Task(t)) = unstored {
+            self.edges = t.preds;
+        }
     }
 }
 
@@ -1444,6 +1473,33 @@ mod tests {
         rt.write_snapshot(&mut w);
         let err = Runtime::restore_snapshot(&mut SnapshotReader::new(&w.into_payload()));
         assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{:?}", err.map(|_| ()));
+    }
+
+    #[test]
+    fn full_log_stores_exact_size_edges() {
+        // The runtime's edge buffer keeps the capacity of the widest task
+        // so far; the records the log stores must not inherit it.
+        let mut rt = rt();
+        let a = rt.create_region(1);
+        let b = rt.create_region(1);
+        let read = || TaskDesc::new(TaskKindId(1)).reads(a);
+        for _ in 0..6 {
+            rt.execute_task(read()).unwrap();
+        }
+        rt.execute_task(TaskDesc::new(TaskKindId(2)).writes(a)).unwrap();
+        rt.execute_task(read()).unwrap();
+        for _ in 0..3 {
+            rt.begin_trace(TraceId(1)).unwrap();
+            rt.execute_task(step_task(a, b)).unwrap();
+            rt.execute_task(step_task(b, a)).unwrap();
+            rt.end_trace(TraceId(1)).unwrap();
+        }
+        let records: Vec<&TaskRecord> = rt.log().task_records().collect();
+        assert_eq!(records[6].preds.len(), 6, "the writer follows every reader");
+        assert_eq!(rt.stats().tasks_replayed, 4);
+        for (i, t) in records.iter().enumerate() {
+            assert_eq!(t.preds.capacity(), t.preds.len(), "record {i}: {:?}", t.preds);
+        }
     }
 
     #[test]

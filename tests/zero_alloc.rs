@@ -15,6 +15,12 @@
 //!   drains them. The per-candidate queues keep their capacity across the
 //!   drain, so a warm defer → replay cycle allocates nothing.
 //!
+//! The runtime underneath keeps the same promise. A drained
+//! [`Runtime`] analyses each task into one reused edge buffer, gets that
+//! buffer back from the log once the op is digested and simulated, and
+//! records or replays each trace into a recycled op list — so fresh
+//! tasks and tasks replayed from a warm template allocate nothing either.
+//!
 //! Mining has a contract of the same kind: a warm synchronous
 //! [`TraceFinder`] mining slices within its resident bound allocates
 //! inside `record()` exactly the batches it hands back — nothing at all
@@ -36,9 +42,10 @@ use apophenia::{Config, MinedBatch, MinedCandidate, TraceFinder, TraceReplayer, 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::convert::Infallible;
-use tasksim::ids::{TaskKindId, TraceId};
+use tasksim::ids::{RegionId, TaskKindId, TraceId};
 use tasksim::snapshot;
 use tasksim::task::{TaskDesc, TaskHash};
+use tasksim::{LogRetention, Micros, Runtime, RuntimeConfig};
 
 /// Forwards to the system allocator, counting allocations made by a
 /// thread while that thread is armed.
@@ -223,6 +230,73 @@ fn steady_states_are_allocation_free() {
     assert_eq!(allocs, 0, "a warm defer → replay cycle allocated {allocs} times");
     let stats = replayer.stats();
     assert_eq!((stats.traces_issued, stats.pending_tasks), (2, 0), "the measured cycle replayed");
+}
+
+/// Task `i` of a stencil-like loop over `regions`: reads one region,
+/// writes the next, so every task has edges and every writer retires
+/// frontier entries.
+fn stencil_task(regions: &[RegionId], i: usize) -> TaskDesc {
+    let n = regions.len();
+    TaskDesc::new(TaskKindId((i % n) as u32))
+        .reads(regions[i % n])
+        .writes(regions[(i + 1) % n])
+        .gpu_time(Micros(10.0))
+}
+
+#[test]
+fn drained_runtime_task_path_is_allocation_free() {
+    const TRACE_LEN: usize = 16;
+    const TASKS: usize = 4096;
+    // A window well above the trace length keeps the no-speculation gate
+    // harmless, and small enough that the pipeline's bounded clock
+    // histories reach their steady size during warmup.
+    let mut config = RuntimeConfig::single_node(1).with_log_retention(LogRetention::Drain);
+    config.window = 64;
+    let mut rt = Runtime::new(config);
+    let regions: Vec<RegionId> = (0..4).map(|_| rt.create_region(1)).collect();
+    // Tasks are built before each measurement: their requirement lists
+    // are the caller's allocations, not the runtime's.
+    let stream = |n: usize| (0..n).map(|i| stencil_task(&regions, i)).collect::<Vec<_>>();
+
+    // --- Untraced --------------------------------------------------------
+    for task in stream(1024) {
+        rt.execute_task(task).unwrap();
+    }
+    let tasks = stream(TASKS);
+    let allocs = allocations_in(|| {
+        for task in tasks {
+            rt.execute_task(task).unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "untraced drained runtime allocated {allocs} times over {TASKS} tasks");
+    assert_eq!(rt.stats().tasks_fresh, (1024 + TASKS) as u64);
+
+    // --- Mid-replay of a warm template ------------------------------------
+    let id = TraceId(1);
+    let cycle = |rt: &mut Runtime, tasks: &mut std::vec::IntoIter<TaskDesc>| {
+        rt.begin_trace(id).unwrap();
+        for task in tasks.take(TRACE_LEN) {
+            rt.execute_task(task).unwrap();
+        }
+        rt.end_trace(id).unwrap();
+    };
+    // Warm up: record once, then replay until every buffer has its size.
+    let mut warm = stream(8 * TRACE_LEN).into_iter();
+    for _ in 0..8 {
+        cycle(&mut rt, &mut warm);
+    }
+    assert_eq!((rt.stats().traces_recorded, rt.stats().trace_replays), (1, 7));
+    let mut tasks = stream(TASKS).into_iter();
+    let allocs = allocations_in(|| {
+        for _ in 0..TASKS / TRACE_LEN {
+            cycle(&mut rt, &mut tasks);
+        }
+    });
+    assert_eq!(allocs, 0, "mid-replay drained runtime allocated {allocs} times over {TASKS} tasks");
+    let stats = rt.stats();
+    assert_eq!(stats.trace_replays, 7 + (TASKS / TRACE_LEN) as u64, "every cycle replayed");
+    assert_eq!(stats.tasks_replayed, (7 * TRACE_LEN + TASKS) as u64);
+    assert_eq!(stats.mismatches, 0);
 }
 
 /// Feeds `tokens` to `finder`, polling after every token the way the
